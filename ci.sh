@@ -46,6 +46,11 @@
 #                    progress-thread smoke (simtest --progress-thread +
 #                    udprun --progress-thread). Timeout-bounded: a lost
 #                    continuation must fail CI, not hang it.
+#   ./ci.sh perf     wall-clock benchmark build + self-tests: perfbench/ is
+#                    its own Cargo workspace, so the other jobs never build
+#                    it; this one compiles it against the current runtime
+#                    API and runs its self-tests (seed determinism, metric
+#                    names vs BENCHMARK.json, smoke runs of every workload).
 #   ./ci.sh watchdog introspection gate: deliberately provoke a partition
 #                    stall (simtest --watchdog-demo) and require the stall
 #                    watchdog's wait-graph diagnosis to name the blocked
@@ -257,8 +262,14 @@ case "$job" in
 
     echo "Watchdog gate green."
     ;;
+  perf)
+    echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+    timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+    echo "Perfbench self-tests green."
+    ;;
   *)
-    echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, or watchdog)" >&2
+    echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, watchdog, or perf)" >&2
     exit 2
     ;;
 esac

@@ -3,13 +3,19 @@
 //! Usage:
 //!
 //! ```text
-//! figures [micro] [gups] [matching] [offnode] [ablation] [latency] [all]
+//! figures [micro] [gups] [matching] [offnode] [ablation] [latency]
+//!         [causal] [matching-mp] [all]
 //!         [--quick]            # reduced iteration counts / sizes
 //!         [--ranks N]          # GUPS / matching rank count (default 16)
 //!         [--scale X]          # matching graph scale (default 0.25)
-//!         [--json]             # emit deterministic BENCH_*.json instead
+//!         [--samples N]        # samples per data point (default 5)
+//!         [--json]             # emit deterministic BENCH_*.json instead;
+//!                              # sections: micro gups matching signals
+//!                              # causal all
 //!         [--out-dir DIR]      # where --json writes (default ".")
 //! ```
+//!
+//! An unknown section prints this usage and exits with status 2.
 //!
 //! `--json` switches to benchmark-pipeline mode: instead of regenerating
 //! the wall-clock figures it writes `BENCH_micro.json` (virtual-clock
@@ -28,6 +34,27 @@ use bench::{ablation, fmt_row, micro, offnode, VERSIONS};
 use graphgen::{LocalityStats, Preset};
 use gups::{GupsConfig, Variant};
 use upcr::LibVersion;
+
+const USAGE: &str = "\
+Usage: figures [micro] [gups] [matching] [offnode] [ablation] [latency]
+               [causal] [matching-mp] [all]
+               [--quick] [--ranks N] [--scale X] [--samples N]
+               [--json] [--out-dir DIR]
+With --json the sections are: micro gups matching signals causal all";
+
+/// Sections of the figure-regeneration mode and of `--json` mode.
+const TEXT_SECTIONS: [&str; 9] = [
+    "micro",
+    "gups",
+    "matching",
+    "offnode",
+    "ablation",
+    "latency",
+    "causal",
+    "matching-mp",
+    "all",
+];
+const JSON_SECTIONS: [&str; 6] = ["micro", "gups", "matching", "signals", "causal", "all"];
 
 struct Args {
     sections: Vec<String>,
@@ -81,6 +108,15 @@ fn parse_args() -> Args {
     }
     if args.sections.is_empty() {
         args.sections.push("all".to_string());
+    }
+    let known: &[&str] = if args.json {
+        &JSON_SECTIONS
+    } else {
+        &TEXT_SECTIONS
+    };
+    if let Some(bad) = args.sections.iter().find(|s| !known.contains(&s.as_str())) {
+        eprintln!("figures: unknown section `{bad}`\n{USAGE}");
+        std::process::exit(2);
     }
     args
 }
@@ -168,7 +204,7 @@ fn matching_mp_comparison(args: &Args) {
     for preset in Preset::ALL {
         let g = preset.generate(scale);
         let rma = matching::benchmark(ranks, LibVersion::V2021_3_6Eager, &g);
-        let rt = upcr::RuntimeConfig::mpi(ranks, ranks).with_segment_size(1 << 22);
+        let rt = upcr::RuntimeConfig::udp(ranks, ranks).with_segment_size(1 << 22);
         let mp = upcr::launch(rt, |u| {
             u.barrier();
             let t0 = std::time::Instant::now();

@@ -75,14 +75,14 @@ pub use future::{
 };
 pub use global_ptr::{GlobalPtr, LocalRef, SegValue};
 pub use introspect::{diagnose_stall, wait_graph, Snapshot, WaitEdge, WaitEdgeKind};
-pub use metrics::{
-    CriticalPathReport, MetricClass, MetricDesc, MetricsConfig, OpBreakdown, RankSeries, Segment,
-};
+pub use metrics::{MetricClass, MetricDesc, MetricsConfig, RankSeries};
 pub use reduce::{ReduceOp, ReduceVal};
 pub use runtime::{api, launch, RuntimeConfig, Upcr, DEFAULT_WATCHDOG_MS};
 pub use ser::{SerDe, SerError};
 pub use stats::StatsSnapshot;
-pub use trace::{CompletionPath, Histograms, OpKind, OpenSpan, RankTrace, TraceBundle};
+pub use trace::{
+    CompletionPath, Histograms, OpBreakdown, OpKind, OpenSpan, RankTrace, Segment, TraceBundle,
+};
 pub use version::LibVersion;
 pub use vis::Strided;
 

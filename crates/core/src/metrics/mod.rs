@@ -1,13 +1,14 @@
 //! Continuous performance observability: metric registry, sampled
-//! time-series, exporters, and critical-path analysis.
+//! time-series, and exporters.
 //!
-//! PR 3's tracing answers "what happened to one operation"; this module
-//! answers "how is the runtime doing *over time* and *where* does the
-//! deferred path lose its time":
+//! Lifecycle tracing ([`crate::trace`]) answers "what happened to one
+//! operation", and the causal assembler's per-op breakdown
+//! ([`crate::trace::causal`]) "where did its time go"; this module answers
+//! "how is the runtime doing *over time*":
 //!
 //! * **Registry** — every observable scalar registers here with a name and
 //!   a class. The set is not hand-maintained: [`descs`] derives it from
-//!   [`StatsSnapshot::FIELDS`] (generated by the `per_rank_stats!` macro),
+//!   [`StatsSnapshot::FIELDS`] (generated by `gasnex::declare_stats!`),
 //!   [`gasnex::NetStats::FIELDS`], and a small list of live queue-depth
 //!   gauges, so adding a counter in either source automatically registers
 //!   it. Latency histograms register alongside at export time (they are
@@ -19,11 +20,6 @@
 //!   series.
 //! * **Exporters** ([`export`]) — deterministic JSON (`metrics.v1`
 //!   schema) and Prometheus text exposition format.
-//! * **Critical-path analyzer** ([`critical_path`]) — a pure function
-//!   over the PR 3 span trace + wire trace that attributes each op's
-//!   completion latency to pipeline segments (initiation, backoff,
-//!   transit, delivery→signal, signal→wakeup, wakeup→notify) such that
-//!   the segments sum *exactly* to the measured latency.
 //! * **Probe** ([`probe`]) — a single-threaded deterministic driver used
 //!   by the benchmark pipeline to produce replayable latency quantiles
 //!   (multi-threaded virtual-clock runs have deterministic final counters
@@ -33,12 +29,10 @@
 //! each progress quantum ([`crate::Upcr::metrics_enabled`]); disabled-mode
 //! overhead is a single predictably-taken branch.
 
-pub mod critical_path;
 pub mod export;
 pub mod probe;
 pub mod series;
 
-pub use critical_path::{analyze, CriticalPathReport, OpBreakdown, Segment, SegmentShare};
 pub use export::{metrics_json, metrics_json_multi, prometheus_text, prometheus_text_multi};
 pub use probe::{ProbeConfig, ProbeReport};
 pub use series::{MetricSeries, MetricsConfig, RankSeries, Sample};

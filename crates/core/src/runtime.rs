@@ -68,16 +68,6 @@ impl RuntimeConfig {
         }
     }
 
-    /// Multi-node MPI-conduit runtime.
-    pub fn mpi(ranks: usize, ranks_per_node: usize) -> Self {
-        RuntimeConfig {
-            gasnex: GasnexConfig::mpi(ranks, ranks_per_node),
-            version: LibVersion::V2021_3_6Eager,
-            watchdog_ms: DEFAULT_WATCHDOG_MS,
-            progress_thread: false,
-        }
-    }
-
     /// Select the library version semantics.
     pub fn with_version(mut self, v: LibVersion) -> Self {
         self.version = v;
@@ -925,8 +915,8 @@ mod tests {
             gasnex::ConduitKind::Smp
         ));
         assert!(matches!(
-            RuntimeConfig::mpi(2, 2).gasnex.conduit,
-            gasnex::ConduitKind::Mpi
+            RuntimeConfig::udp(2, 2).gasnex.conduit,
+            gasnex::ConduitKind::Udp
         ));
     }
 

@@ -11,9 +11,10 @@
 //! `dup_suppressed`, `max_backoff_ns`) — are world-global and live in
 //! [`gasnex::NetStats`], reachable via `Upcr::net_stats`.
 //!
-//! The field set is declared exactly once, in the [`per_rank_stats!`]
-//! invocation below: the macro generates `Stats`, `StatsSnapshot`,
-//! `snapshot()`, `reset()`, and `since()` together, so adding a counter in
+//! The field set is declared exactly once, in the
+//! [`gasnex::declare_stats!`] invocation below — the same macro that
+//! declares [`gasnex::NetStats`]. It generates `Stats`, `StatsSnapshot`,
+//! `snapshot()`, `store()`, and `since()` together, so adding a counter in
 //! one place cannot silently skip any of them. Each field is classed as a
 //! `counter` (monotonic; `since` subtracts) or a `gauge` (a level such as a
 //! high-water mark; `since` reports the later sample unchanged).
@@ -22,173 +23,108 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use gasnex::FieldClass;
 
-/// `since` semantics for one field class: counters subtract (saturating),
-/// gauges pass the later sample through — a high-water mark is a level,
-/// not a count, so callers see the peak over the run.
-macro_rules! since_field {
-    (counter, $later:expr, $earlier:expr) => {
-        $later.saturating_sub($earlier)
-    };
-    (gauge, $later:expr, $earlier:expr) => {
-        $later
-    };
+gasnex::declare_stats! {
+    /// Mutable per-rank counters. Owned by the rank context but shared
+    /// (behind an `Arc`) with the optional background progress thread,
+    /// which attributes callback runs and its own poll/wakeup counts to
+    /// the rank they belong to — hence atomics. All accesses are
+    /// `Relaxed`: the counters are statistics, not synchronization.
+    pub(crate) struct Stats(Relaxed);
+
+    /// A point-in-time copy of one rank's runtime counters.
+    pub struct StatsSnapshot {
+        /// Internal promise cells heap-allocated (futures machinery).
+        cell_allocs: counter,
+        /// Extra per-operation allocations on the legacy 2021.3.0 RMA path.
+        legacy_extra_allocs: counter,
+        /// Notifications routed through the deferred progress queue.
+        deferred_enqueued: counter,
+        /// Notifications delivered eagerly at initiation.
+        eager_notifications: counter,
+        /// Operations injected into the simulated network (off-node traffic).
+        net_injected: counter,
+        /// RMA puts initiated.
+        rputs: counter,
+        /// RMA gets initiated.
+        rgets: counter,
+        /// Atomic operations initiated.
+        amos: counter,
+        /// RPCs initiated.
+        rpcs: counter,
+        /// `when_all`/conjoin calls resolved by the ready-input fast path.
+        when_all_fast: counter,
+        /// Dependency-graph nodes constructed by `when_all`/conjoin.
+        when_all_nodes: counter,
+        /// Progress-engine quanta executed.
+        progress_calls: counter,
+        /// Deferred notifications delivered via a ready-queue token (the
+        /// signal-driven engine): each is one wakeup that replaced a poll scan.
+        event_wakeups: counter,
+        /// Event re-tests the signal-driven engine skipped: per quantum, the
+        /// number of still-pending event waiters the poll-scan engine would
+        /// have re-tested and re-queued.
+        polls_elided: counter,
+        /// High-water mark of simultaneously pending notifications (registered
+        /// event waiters plus queued rank-local deferred entries).
+        pending_highwater: gauge,
+        /// Put/amo-with-signal operations initiated.
+        signals_sent: counter,
+        /// Signal badges that OR-coalesced into an already-Active notification
+        /// word on this rank (delivery-side; attributed to the target rank).
+        signals_coalesced: counter,
+        /// Times a `wait_signal` park on this rank was woken by a badge.
+        park_wakeups: counter,
+        /// Progress polls performed by `wait_signal` while it *wanted* to park
+        /// (refused reservation or virtual clock). A parked rank contributes
+        /// zero — the idle-CPU guarantee the bench gate checks.
+        polls_while_parked: counter,
+        /// Wall-clock nanoseconds this rank spent parked on a condvar (zero
+        /// CPU). Measured only under `ClockMode::Wall`; deterministic
+        /// virtual-clock runs report zero so their exports stay replayable.
+        parked_ns: counter,
+        /// Wall-clock nanoseconds this rank spent in wait loops *between*
+        /// progress quanta — burning CPU on re-tests rather than useful
+        /// progress. Wall-clock only, like `parked_ns`.
+        spinning_ns: counter,
+        /// Wall-clock nanoseconds spent inside progress quanta (conduit polls,
+        /// deferred drains, coalescer flushes). Wall-clock only.
+        progress_ns: counter,
+        /// Happens-before edges assembled by the causal tracer on this rank
+        /// (rank 0 assembles; other ranks report zero).
+        hb_edges: counter,
+        /// Causality violations detected by causal assembly: a happens-before
+        /// edge whose destination carries an earlier wall timestamp than its
+        /// source. Pinned to zero under `ClockMode::Virtual`; nonzero flags
+        /// cross-process clock skew on the UDP conduit.
+        causal_violations: counter,
+        /// High-water mark of the assembled causal chain depth (longest
+        /// happens-before path, in hops).
+        causal_chain_depth: gauge,
+        /// Continuation callbacks (`operation_cx::as_callback`) executed on
+        /// behalf of this rank — by its own progress quantum or by the
+        /// background progress thread. Each registered callback runs exactly
+        /// once, so at quiescence this equals the number of ops issued with a
+        /// callback completion.
+        callbacks_run: counter,
+        /// Callbacks enqueued while a callback drain was already running on
+        /// this rank's queue (i.e. from inside a user callback): they join the
+        /// same FIFO and are delivered by the same drain, never reentrantly.
+        callbacks_deferred: counter,
+        /// Poll iterations executed by the background progress thread on this
+        /// rank's node (attributed to the node's first rank; zero without
+        /// `--progress-thread` and always zero under the virtual clock).
+        progress_thread_polls: counter,
+        /// Times the background progress thread was woken from its parked
+        /// cadence by an injection or callback enqueue (vs. timing out).
+        progress_thread_wakeups: counter,
+    }
 }
 
-/// Map the lowercase class keyword used in the field list to [`FieldClass`].
-macro_rules! field_class {
-    (counter) => {
-        FieldClass::Counter
-    };
-    (gauge) => {
-        FieldClass::Gauge
-    };
-}
-
-/// Declare the per-rank statistics fields once; generate the mutable
-/// [`Stats`] struct, the public [`StatsSnapshot`] copy (with the given doc
-/// comments), and the `snapshot`/`reset`/`since` triplet from the same
-/// list.
-macro_rules! per_rank_stats {
-    ($( $(#[$doc:meta])* $name:ident : $class:ident ),+ $(,)?) => {
-        /// Mutable per-rank counters. Owned by the rank context but shared
-        /// (behind an `Arc`) with the optional background progress thread,
-        /// which attributes callback runs and its own poll/wakeup counts to
-        /// the rank they belong to — hence atomics. All accesses are
-        /// `Relaxed`: the counters are statistics, not synchronization.
-        #[derive(Default)]
-        pub(crate) struct Stats {
-            $( pub $name: AtomicU64, )+
-        }
-
-        impl Stats {
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: self.$name.load(Ordering::Relaxed), )+
-                }
-            }
-
-            pub fn reset(&self) {
-                $( self.$name.store(0, Ordering::Relaxed); )+
-            }
-        }
-
-        /// A point-in-time copy of one rank's runtime counters.
-        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct StatsSnapshot {
-            $( $(#[$doc])* pub $name: u64, )+
-        }
-
-        impl StatsSnapshot {
-            /// Field names and classes, in declaration order. This is the
-            /// registration hook the metrics registry consumes: the names
-            /// here become metric names, and the order here is the order of
-            /// the values returned by [`StatsSnapshot::values`].
-            pub const FIELDS: &'static [(&'static str, FieldClass)] = &[
-                $( (stringify!($name), field_class!($class)), )+
-            ];
-
-            /// Field values in the same order as [`StatsSnapshot::FIELDS`].
-            pub fn values(&self) -> Vec<u64> {
-                vec![ $( self.$name, )+ ]
-            }
-
-            /// Field-wise difference (`self - earlier`): counters subtract
-            /// (saturating at zero); gauges report the later sample
-            /// unchanged.
-            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: since_field!($class, self.$name, earlier.$name), )+
-                }
-            }
-        }
-    };
-}
-
-per_rank_stats! {
-    /// Internal promise cells heap-allocated (futures machinery).
-    cell_allocs: counter,
-    /// Extra per-operation allocations on the legacy 2021.3.0 RMA path.
-    legacy_extra_allocs: counter,
-    /// Notifications routed through the deferred progress queue.
-    deferred_enqueued: counter,
-    /// Notifications delivered eagerly at initiation.
-    eager_notifications: counter,
-    /// Operations injected into the simulated network (off-node traffic).
-    net_injected: counter,
-    /// RMA puts initiated.
-    rputs: counter,
-    /// RMA gets initiated.
-    rgets: counter,
-    /// Atomic operations initiated.
-    amos: counter,
-    /// RPCs initiated.
-    rpcs: counter,
-    /// `when_all`/conjoin calls resolved by the ready-input fast path.
-    when_all_fast: counter,
-    /// Dependency-graph nodes constructed by `when_all`/conjoin.
-    when_all_nodes: counter,
-    /// Progress-engine quanta executed.
-    progress_calls: counter,
-    /// Deferred notifications delivered via a ready-queue token (the
-    /// signal-driven engine): each is one wakeup that replaced a poll scan.
-    event_wakeups: counter,
-    /// Event re-tests the signal-driven engine skipped: per quantum, the
-    /// number of still-pending event waiters the poll-scan engine would
-    /// have re-tested and re-queued.
-    polls_elided: counter,
-    /// High-water mark of simultaneously pending notifications (registered
-    /// event waiters plus queued rank-local deferred entries).
-    pending_highwater: gauge,
-    /// Put/amo-with-signal operations initiated.
-    signals_sent: counter,
-    /// Signal badges that OR-coalesced into an already-Active notification
-    /// word on this rank (delivery-side; attributed to the target rank).
-    signals_coalesced: counter,
-    /// Times a `wait_signal` park on this rank was woken by a badge.
-    park_wakeups: counter,
-    /// Progress polls performed by `wait_signal` while it *wanted* to park
-    /// (refused reservation or virtual clock). A parked rank contributes
-    /// zero — the idle-CPU guarantee the bench gate checks.
-    polls_while_parked: counter,
-    /// Wall-clock nanoseconds this rank spent parked on a condvar (zero
-    /// CPU). Measured only under `ClockMode::Wall`; deterministic
-    /// virtual-clock runs report zero so their exports stay replayable.
-    parked_ns: counter,
-    /// Wall-clock nanoseconds this rank spent in wait loops *between*
-    /// progress quanta — burning CPU on re-tests rather than useful
-    /// progress. Wall-clock only, like `parked_ns`.
-    spinning_ns: counter,
-    /// Wall-clock nanoseconds spent inside progress quanta (conduit polls,
-    /// deferred drains, coalescer flushes). Wall-clock only.
-    progress_ns: counter,
-    /// Happens-before edges assembled by the causal tracer on this rank
-    /// (rank 0 assembles; other ranks report zero).
-    hb_edges: counter,
-    /// Causality violations detected by causal assembly: a happens-before
-    /// edge whose destination carries an earlier wall timestamp than its
-    /// source. Pinned to zero under `ClockMode::Virtual`; nonzero flags
-    /// cross-process clock skew on the UDP conduit.
-    causal_violations: counter,
-    /// High-water mark of the assembled causal chain depth (longest
-    /// happens-before path, in hops).
-    causal_chain_depth: gauge,
-    /// Continuation callbacks (`operation_cx::as_callback`) executed on
-    /// behalf of this rank — by its own progress quantum or by the
-    /// background progress thread. Each registered callback runs exactly
-    /// once, so at quiescence this equals the number of ops issued with a
-    /// callback completion.
-    callbacks_run: counter,
-    /// Callbacks enqueued while a callback drain was already running on
-    /// this rank's queue (i.e. from inside a user callback): they join the
-    /// same FIFO and are delivered by the same drain, never reentrantly.
-    callbacks_deferred: counter,
-    /// Poll iterations executed by the background progress thread on this
-    /// rank's node (attributed to the node's first rank; zero without
-    /// `--progress-thread` and always zero under the virtual clock).
-    progress_thread_polls: counter,
-    /// Times the background progress thread was woken from its parked
-    /// cadence by an injection or callback enqueue (vs. timing out).
-    progress_thread_wakeups: counter,
+impl Stats {
+    /// Zero every counter and gauge.
+    pub fn reset(&self) {
+        self.store(&StatsSnapshot::default());
+    }
 }
 
 #[inline]

@@ -1,5 +1,5 @@
-//! Cross-rank causal assembly: happens-before DAG and distributed
-//! critical-path profiles.
+//! Cross-rank causal assembly: happens-before DAG, distributed
+//! critical-path profiles, and per-op latency breakdowns.
 //!
 //! [`assemble`] is a pure function over a [`TraceBundle`]: it merges the
 //! per-rank span traces and the world-global wire trace into one causally
@@ -34,10 +34,19 @@
 //! The **distributed critical path** is the longest (ns, then hops) path
 //! through the DAG, found by a deterministic Kahn traversal (ready nodes
 //! drained in `(lclock, lane, seq)` order). Each hop is attributed to a
-//! rank (wire hops charge the injecting rank) and a pipeline
-//! [`Segment`] — the same taxonomy
-//! [`crate::metrics::critical_path::analyze`] uses for per-op latency, so
-//! the two reports speak one language.
+//! rank (wire hops charge the injecting rank) and a pipeline [`Segment`].
+//!
+//! The **per-op breakdown** ([`CausalAssembly::op_breakdown`]) charges the
+//! same [`Segment`] taxonomy per completed op, so the two profiles speak
+//! one language. It walks each op's milestones init → inject → deliver →
+//! signal → wakeup → notify, taking the delivery and the drop→retry
+//! backoff from the message's wire chain and the signal from the
+//! SignalWake edge into the wakeup that preceded the notify. Milestones
+//! are clamped monotone into `[init, notify]` and every segment is the gap
+//! between two consecutive ones, so the segments sum *exactly* to the
+//! measured latency; a milestone the trace lacks is a zero-width segment,
+//! and time no milestone explains lands in the segment after the last
+//! recorded one rather than being hidden.
 //!
 //! Everything here is deterministic: canonical node order is
 //! `(lclock, lane, seq)`, edges are built in a fixed sweep order, and the
@@ -50,8 +59,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
 
 use super::export::TraceBundle;
-use super::{CompletionPath, EventKind, NetEventKind, RankTrace};
-use crate::metrics::critical_path::Segment;
+use super::{CompletionPath, EventKind, NetEventKind, OpKind, RankTrace};
 
 /// Synthetic lane id for wire-level events (no rank can be `u32::MAX`:
 /// the conduits cap rank counts far below it).
@@ -141,6 +149,71 @@ pub struct CausalEdge {
     pub kind: EdgeKind,
 }
 
+/// A pipeline segment of one operation's completion latency.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Segment {
+    /// Initiation bookkeeping: op init → network injection.
+    Initiation = 0,
+    /// Chaos retransmission waits: Σ (retry − drop) for the op's message.
+    Backoff = 1,
+    /// Wire time excluding backoff: injection → delivery minus backoff.
+    Transit = 2,
+    /// Delivery action → initiator-side completion signal routing.
+    DeliverToSignal = 3,
+    /// Signal deposited → the initiator's progress quantum drained it.
+    SignalToWakeup = 4,
+    /// Wakeup → the notification callback recorded the notify.
+    WakeupToNotify = 5,
+    /// Rank-local deferred delivery (ops that never touched the wire):
+    /// init → notify via the deferred queue.
+    QueueWait = 6,
+}
+
+impl Segment {
+    pub const COUNT: usize = 7;
+
+    pub const ALL: [Segment; Segment::COUNT] = [
+        Segment::Initiation,
+        Segment::Backoff,
+        Segment::Transit,
+        Segment::DeliverToSignal,
+        Segment::SignalToWakeup,
+        Segment::WakeupToNotify,
+        Segment::QueueWait,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Segment::Initiation => "initiation",
+            Segment::Backoff => "backoff",
+            Segment::Transit => "transit",
+            Segment::DeliverToSignal => "deliver_to_signal",
+            Segment::SignalToWakeup => "signal_to_wakeup",
+            Segment::WakeupToNotify => "wakeup_to_notify",
+            Segment::QueueWait => "queue_wait",
+        }
+    }
+}
+
+/// One completed operation's latency, attributed to pipeline segments.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpBreakdown {
+    pub rank: u32,
+    pub op_id: u64,
+    pub kind: OpKind,
+    pub path: CompletionPath,
+    pub latency_ns: u64,
+    /// Nanoseconds attributed to each [`Segment`] (indexed by the enum's
+    /// discriminant); sums exactly to `latency_ns`.
+    pub segments: [u64; Segment::COUNT],
+}
+
+impl OpBreakdown {
+    pub fn segment_sum(&self) -> u64 {
+        self.segments.iter().sum()
+    }
+}
+
 /// One hop of the distributed critical path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathStep {
@@ -189,6 +262,9 @@ pub struct CausalAssembly {
     pub critical_path: Vec<PathStep>,
     /// Per completed op: causal chain length (see [`OpChain`]).
     pub op_chains: Vec<OpChain>,
+    /// Per completed op: latency attributed to pipeline segments (see the
+    /// module docs), in the same `(rank, op_id)` order as `op_chains`.
+    pub op_breakdown: Vec<OpBreakdown>,
 }
 
 impl CausalAssembly {
@@ -445,35 +521,127 @@ fn wire_node(idx: usize, e: &super::NetTraceEvent) -> CausalNode {
     }
 }
 
-/// Causal chain lengths of every completed op in the bundle.
-fn op_chains(ranks: &[&RankTrace], wire_counts: &HashMap<u64, u64>) -> Vec<OpChain> {
+/// What one message's wire chain contributes to its op's latency: when it
+/// was delivered, and how long it sat on retransmission timers (the sum of
+/// each drop → retry gap).
+#[derive(Clone, Copy, Default)]
+struct WireTimes {
+    deliver_ts: Option<u64>,
+    backoff_ns: u64,
+}
+
+fn wire_times(chain: &[usize], nodes: &[CausalNode]) -> WireTimes {
+    let mut w = WireTimes::default();
+    let mut open_drop = None;
+    for n in chain.iter().map(|&i| &nodes[i]) {
+        match n.class {
+            NodeClass::WireDrop => open_drop = Some(n.ts_ns),
+            NodeClass::WireRetry => {
+                if let Some(d) = open_drop.take() {
+                    w.backoff_ns += n.ts_ns.saturating_sub(d);
+                }
+            }
+            NodeClass::WireDeliver => w.deliver_ts = Some(n.ts_ns),
+            _ => {}
+        }
+    }
+    w
+}
+
+/// Advance a milestone: clamp `t` (if recorded) into `[prev, end]`,
+/// otherwise stay at `prev` (zero-width segment).
+fn step(prev: u64, t: Option<u64>, end: u64) -> u64 {
+    t.map_or(prev, |t| t.clamp(prev, end))
+}
+
+/// Per completed op, from one sweep over each rank's events: its causal
+/// chain length, and its latency attributed along the milestone chain
+/// (see the module docs). `woken_by` maps a wakeup node to the signal
+/// node its SignalWake edge comes from.
+fn per_op(
+    ranks: &[&RankTrace],
+    nodes: &[CausalNode],
+    by_id: &HashMap<(u32, u64), usize>,
+    msg_chain: &HashMap<u64, Vec<usize>>,
+    woken_by: &HashMap<usize, usize>,
+) -> (Vec<OpChain>, Vec<OpBreakdown>) {
     let mut chains = Vec::new();
+    let mut breakdowns = Vec::new();
     for trace in ranks {
-        // op id → (own event count, wire event count of injected msgs).
-        let mut acc: HashMap<u64, (u64, u64)> = HashMap::new();
+        // op id → (own event count, wire event count of injected msgs,
+        // last injection as (ts, msg)).
+        type Acc = (u64, u64, Option<(u64, u64)>);
+        let mut acc: HashMap<u64, Acc> = HashMap::new();
+        // The nearest preceding wakeup: the engine records `Wakeup` and
+        // then runs the callback whose notify follows it in seq order.
+        let mut last_wakeup: Option<usize> = None;
         for e in &trace.events {
+            if let EventKind::Wakeup { .. } = e.kind {
+                last_wakeup = Some(by_id[&(trace.rank, e.seq)]);
+            }
             if e.op.is_none() {
                 continue;
             }
             let slot = acc.entry(e.op.id).or_default();
             slot.0 += 1;
             if let EventKind::NetInject { msg } = e.kind {
-                slot.1 += wire_counts.get(&msg).copied().unwrap_or(0);
+                slot.1 += msg_chain.get(&msg).map_or(0, |c| c.len() as u64);
+                slot.2 = Some((e.ts_ns, msg));
             }
-            if let EventKind::Notify { path, .. } = e.kind {
-                let (own, wire) = acc.remove(&e.op.id).unwrap_or((1, 0));
-                let drain_hop = u64::from(path == CompletionPath::Deferred);
-                chains.push(OpChain {
-                    rank: trace.rank,
-                    op_id: e.op.id,
-                    path,
-                    len: own + wire + drain_hop,
-                });
+            let EventKind::Notify { path, latency_ns } = e.kind else {
+                continue;
+            };
+            let (own, wire, injected) = acc.remove(&e.op.id).unwrap_or_default();
+            let drain_hop = u64::from(path == CompletionPath::Deferred);
+            chains.push(OpChain {
+                rank: trace.rank,
+                op_id: e.op.id,
+                path,
+                len: own + wire + drain_hop,
+            });
+
+            let notify_ts = e.ts_ns;
+            let init_ts = notify_ts.saturating_sub(latency_ns);
+            let mut segments = [0u64; Segment::COUNT];
+            match injected {
+                Some((inject_ts, msg)) => {
+                    let wire = msg_chain
+                        .get(&msg)
+                        .map(|c| wire_times(c, nodes))
+                        .unwrap_or_default();
+                    let signal_ts = last_wakeup
+                        .and_then(|w| woken_by.get(&w))
+                        .map(|&s| nodes[s].ts_ns);
+                    let wakeup_ts = last_wakeup.map(|w| nodes[w].ts_ns);
+                    let m1 = step(init_ts, Some(inject_ts), notify_ts);
+                    let m2 = step(m1, wire.deliver_ts, notify_ts);
+                    let m3 = step(m2, signal_ts, notify_ts);
+                    let m4 = step(m3, wakeup_ts, notify_ts);
+                    let backoff = wire.backoff_ns.min(m2 - m1);
+                    segments[Segment::Initiation as usize] = m1 - init_ts;
+                    segments[Segment::Backoff as usize] = backoff;
+                    segments[Segment::Transit as usize] = (m2 - m1) - backoff;
+                    segments[Segment::DeliverToSignal as usize] = m3 - m2;
+                    segments[Segment::SignalToWakeup as usize] = m4 - m3;
+                    segments[Segment::WakeupToNotify as usize] = notify_ts - m4;
+                }
+                // Never touched the wire: a local op delivered eagerly
+                // (latency 0) or via the deferred queue.
+                None => segments[Segment::QueueWait as usize] = latency_ns,
             }
+            breakdowns.push(OpBreakdown {
+                rank: trace.rank,
+                op_id: e.op.id,
+                kind: e.op.kind,
+                path,
+                latency_ns,
+                segments,
+            });
         }
     }
     chains.sort_by_key(|c| (c.rank, c.op_id));
-    chains
+    breakdowns.sort_by_key(|b| (b.rank, b.op_id));
+    (chains, breakdowns)
 }
 
 /// Merge a bundle's rank and wire traces into a causal timeline, build
@@ -710,14 +878,13 @@ pub fn assemble(bundle: &TraceBundle) -> CausalAssembly {
         }
     }
 
-    // --- Per-op causal chain lengths (for eager-vs-defer means). ---
-    let mut wire_counts: HashMap<u64, u64> = HashMap::new();
-    for e in &bundle.net {
-        if !matches!(e.kind, NetEventKind::Signal { .. }) {
-            *wire_counts.entry(e.msg).or_default() += 1;
-        }
-    }
-    let op_chains = op_chains(&ranks, &wire_counts);
+    // --- Per-op chain lengths and latency breakdowns. ---
+    let woken_by: HashMap<usize, usize> = edges
+        .iter()
+        .filter(|e| e.kind == EdgeKind::SignalWake)
+        .map(|e| (e.to, e.from))
+        .collect();
+    let (op_chains, op_breakdown) = per_op(&ranks, &nodes, &by_id, &msg_chain, &woken_by);
 
     CausalAssembly {
         nodes,
@@ -726,6 +893,7 @@ pub fn assemble(bundle: &TraceBundle) -> CausalAssembly {
         chain_depth,
         critical_path,
         op_chains,
+        op_breakdown,
     }
 }
 
@@ -871,6 +1039,92 @@ mod tests {
         // (1) = 6.
         assert_eq!(a.op_chains.len(), 1);
         assert_eq!(a.op_chains[0].len, 6);
+    }
+
+    /// A remote put with one drop/retry cycle: every wire segment is
+    /// populated, and the signal comes from the SignalWake edge.
+    #[test]
+    fn breakdown_of_remote_op_with_retry_fills_every_segment() {
+        let mut t = RankTracer::new(0);
+        let op = t.op_init(OpKind::Put, 100, true); // lclock 1
+        t.net_inject(op, 7, 110); // lclock 2
+        t.wakeup(3, 2_450); // lclock 3
+        t.notify(op, CompletionPath::Deferred, 2_500); // lclock 4
+        let bundle = TraceBundle {
+            ranks: vec![t.take()],
+            net: vec![
+                net(110, 2, 7, 0, NetEventKind::Inject),
+                net(500, 2, 7, 0, NetEventKind::Drop { backoff_ns: 700 }),
+                net(1_200, 2, 7, 1, NetEventKind::Retry),
+                net(2_000, 3, 7, 1, NetEventKind::Deliver),
+                net(
+                    2_100,
+                    2,
+                    u64::MAX,
+                    0,
+                    NetEventKind::Signal { rank: 0, token: 3 },
+                ),
+            ],
+        };
+        let a = assemble(&bundle);
+        assert_eq!(a.op_breakdown.len(), 1);
+        let o = &a.op_breakdown[0];
+        assert_eq!(o.latency_ns, 2_400);
+        assert_eq!(o.segment_sum(), o.latency_ns, "segments must sum exactly");
+        assert_eq!(o.segments[Segment::Initiation as usize], 10);
+        assert_eq!(o.segments[Segment::Backoff as usize], 700);
+        assert_eq!(o.segments[Segment::Transit as usize], 1_890 - 700);
+        assert_eq!(o.segments[Segment::DeliverToSignal as usize], 100);
+        assert_eq!(o.segments[Segment::SignalToWakeup as usize], 350);
+        assert_eq!(o.segments[Segment::WakeupToNotify as usize], 50);
+        assert_eq!(o.segments[Segment::QueueWait as usize], 0);
+    }
+
+    #[test]
+    fn breakdown_of_local_deferred_op_is_queue_wait() {
+        let mut t = RankTracer::new(1);
+        let op = t.op_init(OpKind::Amo, 50, true);
+        t.notify(op, CompletionPath::Deferred, 950);
+        let a = assemble(&TraceBundle {
+            ranks: vec![t.take()],
+            net: vec![],
+        });
+        let o = &a.op_breakdown[0];
+        assert_eq!(o.segments[Segment::QueueWait as usize], 900);
+        assert_eq!(o.segment_sum(), 900);
+    }
+
+    #[test]
+    fn breakdown_of_eager_op_is_zero_width() {
+        let mut t = RankTracer::new(0);
+        let op = t.op_init(OpKind::Put, 10, true);
+        t.notify(op, CompletionPath::Eager, 10);
+        let a = assemble(&TraceBundle {
+            ranks: vec![t.take()],
+            net: vec![],
+        });
+        assert_eq!(a.op_breakdown.len(), 1);
+        assert_eq!(a.op_breakdown[0].path, CompletionPath::Eager);
+        assert_eq!(a.op_breakdown[0].latency_ns, 0);
+        assert_eq!(a.op_breakdown[0].segment_sum(), 0);
+    }
+
+    #[test]
+    fn breakdown_without_wire_trace_still_sums_exactly() {
+        // Wire trace lost (e.g. net tracing off): everything after inject
+        // collapses into the trailing segment, but the sum invariant holds.
+        let mut t = RankTracer::new(0);
+        let op = t.op_init(OpKind::Get, 0, true);
+        t.net_inject(op, 9, 40);
+        t.notify(op, CompletionPath::Deferred, 5_000);
+        let a = assemble(&TraceBundle {
+            ranks: vec![t.take()],
+            net: vec![],
+        });
+        let o = &a.op_breakdown[0];
+        assert_eq!(o.segment_sum(), 5_000);
+        assert_eq!(o.segments[Segment::Initiation as usize], 40);
+        assert_eq!(o.segments[Segment::WakeupToNotify as usize], 4_960);
     }
 
     #[test]

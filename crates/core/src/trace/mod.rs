@@ -32,7 +32,9 @@ pub mod ring;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use causal::{assemble, CausalAssembly, CausalEdge, CausalNode, EdgeKind, PathStep};
+pub use causal::{
+    assemble, CausalAssembly, CausalEdge, CausalNode, EdgeKind, OpBreakdown, PathStep, Segment,
+};
 pub use export::{
     chrome_trace_json, chrome_trace_json_with_flows, count_notifications, parse_json,
     summary_table, Json, TraceBundle,

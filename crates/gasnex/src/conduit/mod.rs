@@ -27,12 +27,12 @@
 pub mod udp;
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::aggregate::FlushReason;
 use crate::clock::LamportClocks;
-use crate::net::{NetAction, NetEventKind, NetStats, NetTraceEvent};
+use crate::net::{NetAction, NetCounters, NetEventKind, NetStats, NetTraceEvent};
 use crate::rank::Rank;
 use crate::world::World;
 
@@ -63,7 +63,11 @@ pub struct InFlight {
 /// A transport for cross-node delivery actions.
 ///
 /// Implementations must be shareable across rank threads (`Send + Sync`);
-/// every method takes `&self`.
+/// every method takes `&self`. An implementation supplies only its
+/// transport logic — injection, polling, its clock, its in-flight view —
+/// plus [`Conduit::core`]; the counters, the wire trace, the Lamport
+/// stamps and the progress waker are provided once, over the
+/// [`ConduitCore`] every transport embeds.
 pub trait Conduit: Send + Sync {
     /// Inject `action` for asynchronous delivery, optionally routed from an
     /// initiating rank to a target rank. Returns the logical message id.
@@ -74,22 +78,6 @@ pub trait Conduit: Send + Sync {
     /// action synchronously.
     fn inject_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64;
 
-    /// [`Conduit::inject_to`] without a routing hint.
-    fn inject(&self, action: NetAction) -> u64 {
-        self.inject_to(None, action)
-    }
-
-    /// Inject a *signal-bearing* delivery action (a put-with-signal or
-    /// amo-with-signal). Semantically identical to [`Conduit::inject_to`]
-    /// — same reliability machinery, same exactly-once delivery — but the
-    /// transport may mark the traffic on the wire (the UDP conduit stamps
-    /// a SIGNAL frame kind) and counts it in `NetStats::signals`. The
-    /// default forwards to `inject_to` uncounted, for transports that do
-    /// not distinguish signal traffic.
-    fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.inject_to(route, action)
-    }
-
     /// Execute due deliveries. Returns the number of work items observed
     /// (deliveries, suppressed duplicates, retransmissions), or a busy hint
     /// of 1 when another rank is mid-drain while work is outstanding.
@@ -99,188 +87,168 @@ pub trait Conduit: Send + Sync {
     /// contends with a delivery in progress.
     fn now_ns(&self) -> u64;
 
+    /// Snapshot every message the transport still owes a delivery for, in
+    /// deterministic `(msg, due_ns)` order.
+    fn inflight(&self) -> Vec<InFlight>;
+
+    /// The shared bookkeeping this transport records into.
+    fn core(&self) -> &ConduitCore;
+
+    /// Downcast hook for tests and impl-specific tooling.
+    fn as_any(&self) -> &dyn Any;
+
+    /// [`Conduit::inject_to`] without a routing hint.
+    fn inject(&self, action: NetAction) -> u64 {
+        self.inject_to(None, action)
+    }
+
+    /// Inject a *signal-bearing* delivery action (a put-with-signal or
+    /// amo-with-signal). Semantically identical to [`Conduit::inject_to`]
+    /// — same reliability machinery, same exactly-once delivery — but
+    /// counted in `NetStats::signals`, and a transport may mark the
+    /// traffic on the wire (the UDP conduit sends a SIGNAL frame kind).
+    fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
+        self.core().note_signal();
+        self.inject_to(route, action)
+    }
+
     /// Logical messages injected since creation (raw, ignoring any
     /// `reset_stats` baseline — quiescence detection depends on this).
-    fn injected(&self) -> u64;
+    fn injected(&self) -> u64 {
+        self.core().injected()
+    }
 
     /// Logical messages delivered since creation (raw).
-    fn delivered(&self) -> u64;
+    fn delivered(&self) -> u64 {
+        self.core().delivered()
+    }
 
     /// Messages injected but not yet delivered (including retransmission
     /// timers and duplicate copies still in flight). Lock-free.
-    fn pending(&self) -> usize;
+    fn pending(&self) -> usize {
+        self.core().pending()
+    }
 
     /// Snapshot every counter relative to the last [`Conduit::reset_stats`]
     /// (or creation). Lock-free: reads only atomics, so it never contends
     /// with delivery.
-    fn stats(&self) -> NetStats;
+    fn stats(&self) -> NetStats {
+        self.core().stats()
+    }
 
     /// Re-baseline the observable counters; gauges re-prime rather than
     /// zero. Raw `injected`/`delivered` are untouched.
-    fn reset_stats(&self);
+    fn reset_stats(&self) {
+        self.core().reset_stats();
+    }
 
     /// Enable or disable the wire-event sink.
-    fn set_tracing(&self, on: bool);
+    fn set_tracing(&self, on: bool) {
+        self.core().set_tracing(on);
+    }
 
     /// Whether the wire-event sink is recording.
-    fn tracing(&self) -> bool;
+    fn tracing(&self) -> bool {
+        self.core().tracing()
+    }
 
     /// Drain the recorded wire-level trace.
-    fn take_trace(&self) -> Vec<NetTraceEvent>;
+    fn take_trace(&self) -> Vec<NetTraceEvent> {
+        self.core().take_trace()
+    }
 
     /// Copy the recorded wire-level trace *without* draining it — the
     /// flight recorder reads the ring in place so a snapshot or watchdog
-    /// diagnosis never perturbs a later `take_trace`. Default: empty, for
-    /// transports without a trace sink.
+    /// diagnosis never perturbs a later `take_trace`.
     fn peek_trace(&self) -> Vec<NetTraceEvent> {
-        Vec::new()
+        self.core().peek_trace()
     }
 
-    /// Snapshot every message the transport still owes a delivery for, in
-    /// deterministic `(msg, due_ns)` order. Default: empty, for transports
-    /// that cannot enumerate their queues.
-    fn inflight(&self) -> Vec<InFlight> {
-        Vec::new()
+    /// Record one wire event with its Lamport stamp, timestamped by
+    /// [`Conduit::now_ns`] (no-op, and no clock read, unless tracing is
+    /// on).
+    #[inline]
+    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
+        self.core()
+            .record(|| self.now_ns(), msg, attempt, kind, lclock);
     }
-
-    /// Record one wire event with its Lamport stamp (no-op unless tracing
-    /// is on).
-    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64);
 
     /// The shared per-rank Lamport clock bank stamping this conduit's
     /// traffic.
-    fn clocks(&self) -> &std::sync::Arc<LamportClocks>;
+    fn clocks(&self) -> &Arc<LamportClocks> {
+        self.core().clocks()
+    }
 
     /// Record one aggregation batch flush of `ops` constituent operations.
-    fn note_batch(&self, ops: u64, reason: FlushReason);
+    fn note_batch(&self, ops: u64, reason: FlushReason) {
+        self.core().note_batch(ops, reason);
+    }
 
     /// Record a coalescer buffer depth for the occupancy high-water gauge.
-    fn note_agg_occupancy(&self, depth: usize);
+    fn note_agg_occupancy(&self, depth: usize) {
+        self.core().note_agg_occupancy(depth);
+    }
 
     /// Arm (or, with `None`, disarm) the progress-thread waker: injections
     /// into this conduit call it so a parked background progress thread
     /// notices new traffic promptly. At most one waker is armed at a time;
     /// unarmed conduits pay one relaxed load per injection.
-    fn set_progress_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>);
+    fn set_progress_waker(&self, waker: Option<Arc<dyn Fn() + Send + Sync>>) {
+        self.core().set_waker(waker);
+    }
 
     /// Invoke the armed progress waker, if any (no-op otherwise). Exposed
     /// so layers above the conduit (callback enqueues, abort) can prod the
     /// progress thread through the same hook.
-    fn wake_progress(&self);
-
-    /// Downcast hook for tests and impl-specific tooling.
-    fn as_any(&self) -> &dyn Any;
-}
-
-/// One monotonic counter per [`NetStats`] counter field.
-#[derive(Default)]
-struct Counters {
-    injected: AtomicU64,
-    delivered: AtomicU64,
-    contended_polls: AtomicU64,
-    retries: AtomicU64,
-    drops_injected: AtomicU64,
-    dup_suppressed: AtomicU64,
-    dup_promoted: AtomicU64,
-    batches_injected: AtomicU64,
-    ops_coalesced: AtomicU64,
-    flushes_size: AtomicU64,
-    flushes_age: AtomicU64,
-    flushes_explicit: AtomicU64,
-    signals: AtomicU64,
-    /// Baseline slot for the Lamport tick count: the live value is read
-    /// from the shared clock bank, not from this bank, so only the
-    /// baseline side of this atomic is ever written.
-    lclock_ticks: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            injected: self.injected.load(Ordering::SeqCst),
-            delivered: self.delivered.load(Ordering::SeqCst),
-            pending: 0,
-            contended_polls: self.contended_polls.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            drops_injected: self.drops_injected.load(Ordering::SeqCst),
-            dup_suppressed: self.dup_suppressed.load(Ordering::SeqCst),
-            max_backoff_ns: 0,
-            dup_promoted: self.dup_promoted.load(Ordering::SeqCst),
-            batches_injected: self.batches_injected.load(Ordering::SeqCst),
-            ops_coalesced: self.ops_coalesced.load(Ordering::SeqCst),
-            flushes_size: self.flushes_size.load(Ordering::SeqCst),
-            flushes_age: self.flushes_age.load(Ordering::SeqCst),
-            flushes_explicit: self.flushes_explicit.load(Ordering::SeqCst),
-            agg_occupancy_highwater: 0,
-            signals: self.signals.load(Ordering::SeqCst),
-            lclock_ticks: self.lclock_ticks.load(Ordering::SeqCst),
-        }
-    }
-
-    fn store(&self, s: &NetStats) {
-        self.injected.store(s.injected, Ordering::SeqCst);
-        self.delivered.store(s.delivered, Ordering::SeqCst);
-        self.contended_polls
-            .store(s.contended_polls, Ordering::SeqCst);
-        self.retries.store(s.retries, Ordering::SeqCst);
-        self.drops_injected
-            .store(s.drops_injected, Ordering::SeqCst);
-        self.dup_suppressed
-            .store(s.dup_suppressed, Ordering::SeqCst);
-        self.dup_promoted.store(s.dup_promoted, Ordering::SeqCst);
-        self.batches_injected
-            .store(s.batches_injected, Ordering::SeqCst);
-        self.ops_coalesced.store(s.ops_coalesced, Ordering::SeqCst);
-        self.flushes_size.store(s.flushes_size, Ordering::SeqCst);
-        self.flushes_age.store(s.flushes_age, Ordering::SeqCst);
-        self.flushes_explicit
-            .store(s.flushes_explicit, Ordering::SeqCst);
-        self.signals.store(s.signals, Ordering::SeqCst);
-        self.lclock_ticks.store(s.lclock_ticks, Ordering::SeqCst);
+    fn wake_progress(&self) {
+        self.core().wake();
     }
 }
 
-/// Counter, gauge, and trace state shared by every conduit implementation.
+/// Counter, trace, Lamport, waker and poll-gate state shared by every
+/// conduit implementation.
 ///
 /// The stats baseline is a second bank of atomics rather than a mutex-held
 /// [`NetStats`], so `stats()` and `reset_stats()` are lock-free and never
 /// contend with the delivery path — the lock-granularity split: the clock
 /// is atomic, the delivery queue has its own lock inside each impl, and
 /// statistics touch neither.
-pub(crate) struct ConduitCounters {
-    live: Counters,
-    /// Baseline captured by `reset_stats`; `stats()` reports live minus
-    /// baseline. The live bank is never zeroed because quiescence relies on
-    /// raw `injected == delivered`.
-    baseline: Counters,
-    /// Largest retransmission backoff applied (gauge; reset re-primes).
-    pub max_backoff_ns: AtomicU64,
-    /// Deepest coalescer bucket observed (gauge; reset re-primes).
-    pub agg_occupancy_highwater: AtomicU64,
-    /// Lock-free mirror of in-flight message count.
-    pub pending_len: AtomicUsize,
+///
+/// Cache-line aligned: every rank writes the live counters on every
+/// message and reads the trace and waker flags on every injection, so
+/// they must not share a line with a transport's queue lock. Alignment
+/// also makes the embedding transport cache-line aligned, so which lines
+/// its fields share is fixed by the type, not by where the allocator
+/// happens to place it.
+#[repr(align(64))]
+pub struct ConduitCore {
+    /// Every [`NetStats`] field, live. The counters are never zeroed
+    /// because quiescence relies on raw `injected == delivered`; the
+    /// `pending` gauge mirrors the in-flight count lock-free. The live
+    /// `lclock_ticks` is read from the clock bank, so that slot is unused.
+    live: NetCounters,
+    /// Raw counters captured by `reset_stats`; `stats()` reports live
+    /// minus baseline.
+    baseline: NetCounters,
     /// Wire-level trace gate: one relaxed load per recording site.
     trace_on: AtomicBool,
     /// Wire-level trace records, in recording order.
     trace: Mutex<Vec<NetTraceEvent>>,
-    /// Shared Lamport clock bank: the live `lclock_ticks` value is read
-    /// from here so both conduit implementations report it uniformly.
-    clocks: std::sync::Arc<LamportClocks>,
+    /// Shared per-rank Lamport clocks: ticked at injection, merged at
+    /// delivery — only while tracing is on.
+    clocks: Arc<LamportClocks>,
     /// Whether a progress-thread waker is armed — one relaxed load gates
     /// the injection hot path when no progress thread exists.
     waker_armed: AtomicBool,
     /// The armed waker (the background progress thread's condvar prod).
-    waker: Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
+    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
-impl ConduitCounters {
-    pub fn new(clocks: std::sync::Arc<LamportClocks>) -> Self {
-        ConduitCounters {
-            live: Counters::default(),
-            baseline: Counters::default(),
-            max_backoff_ns: AtomicU64::new(0),
-            agg_occupancy_highwater: AtomicU64::new(0),
-            pending_len: AtomicUsize::new(0),
+impl ConduitCore {
+    pub(crate) fn new(clocks: Arc<LamportClocks>) -> Self {
+        ConduitCore {
+            live: NetCounters::default(),
+            baseline: NetCounters::default(),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(Vec::new()),
             clocks,
@@ -289,75 +257,86 @@ impl ConduitCounters {
         }
     }
 
-    /// Arm or disarm the progress-thread waker.
-    pub fn set_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>) {
-        let armed = waker.is_some();
-        *self.waker.lock().unwrap() = waker;
-        self.waker_armed.store(armed, Ordering::Release);
-    }
-
-    /// Prod the armed waker, if any. One relaxed load when unarmed.
+    /// The poll gate: one poller drains a transport at a time. A poller
+    /// that finds `lock` held yields once and retries — the holder is
+    /// usually mid-drain for a few microseconds. Losing twice counts a
+    /// contended poll and returns `Err` with the busy hint: 1 while work
+    /// is outstanding, so a rank that lost the race never concludes it is
+    /// idle (that would make quiescence sampling transiently wrong), else 0.
     #[inline]
-    pub fn wake(&self) {
-        if self.waker_armed.load(Ordering::Relaxed) {
-            let w = self.waker.lock().unwrap().clone();
-            if let Some(w) = w {
-                w();
-            }
+    pub(crate) fn enter_poll<'a, T>(&self, lock: &'a Mutex<T>) -> Result<MutexGuard<'a, T>, usize> {
+        if let Ok(guard) = lock.try_lock() {
+            return Ok(guard);
         }
+        std::thread::yield_now();
+        lock.try_lock().map_err(|_| {
+            self.live.contended_polls.fetch_add(1, Ordering::SeqCst);
+            usize::from(self.pending() > 0)
+        })
     }
 
-    /// Allocate the next logical message id (also the raw injected count).
-    pub fn next_msg(&self) -> u64 {
-        self.live.injected.fetch_add(1, Ordering::SeqCst)
+    /// Allocate the next logical message id and count the message as
+    /// injected and in flight.
+    pub(crate) fn inject_msg(&self) -> u64 {
+        let msg = self.live.injected.fetch_add(1, Ordering::SeqCst);
+        self.live.pending.fetch_add(1, Ordering::SeqCst);
+        msg
     }
 
-    pub fn injected(&self) -> u64 {
+    /// A second wire copy of an in-flight message was queued (a duplicate
+    /// the receiver will suppress); it stays pending until it is.
+    pub(crate) fn copy_queued(&self) {
+        self.live.pending.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A queued wire copy was retired without delivering.
+    pub(crate) fn copy_retired(&self) {
+        self.live.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A delivery action ran. Counted after the action, so `injected ==
+    /// delivered` implies no action is mid-flight (quiescence detection).
+    pub(crate) fn note_delivered(&self) {
+        self.live.delivered.fetch_add(1, Ordering::SeqCst);
+        self.live.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    pub(crate) fn injected(&self) -> u64 {
         self.live.injected.load(Ordering::SeqCst)
     }
 
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.live.delivered.load(Ordering::SeqCst)
     }
 
-    pub fn pending(&self) -> usize {
-        self.pending_len.load(Ordering::SeqCst)
+    pub(crate) fn pending(&self) -> usize {
+        self.live.pending.load(Ordering::SeqCst) as usize
     }
 
-    pub fn note_delivered(&self) {
-        self.live.delivered.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub fn note_contended_poll(&self) {
-        self.live.contended_polls.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub fn contended_polls(&self) -> u64 {
-        self.live.contended_polls.load(Ordering::SeqCst)
-    }
-
-    pub fn note_retry(&self) {
+    pub(crate) fn note_retry(&self) {
         self.live.retries.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub fn note_drop(&self, backoff_ns: u64) {
+    pub(crate) fn note_drop(&self, backoff_ns: u64) {
         self.live.drops_injected.fetch_add(1, Ordering::SeqCst);
-        self.max_backoff_ns.fetch_max(backoff_ns, Ordering::SeqCst);
+        self.live
+            .max_backoff_ns
+            .fetch_max(backoff_ns, Ordering::SeqCst);
     }
 
-    pub fn note_dup_suppressed(&self) {
+    pub(crate) fn note_dup_suppressed(&self) {
         self.live.dup_suppressed.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub fn note_dup_promoted(&self) {
+    pub(crate) fn note_dup_promoted(&self) {
         self.live.dup_promoted.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub fn note_signal(&self) {
+    pub(crate) fn note_signal(&self) {
         self.live.signals.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub fn note_batch(&self, ops: u64, reason: FlushReason) {
+    pub(crate) fn note_batch(&self, ops: u64, reason: FlushReason) {
         self.live.batches_injected.fetch_add(1, Ordering::SeqCst);
         self.live.ops_coalesced.fetch_add(ops, Ordering::SeqCst);
         let ctr = match reason {
@@ -368,59 +347,94 @@ impl ConduitCounters {
         ctr.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub fn note_agg_occupancy(&self, depth: usize) {
-        self.agg_occupancy_highwater
+    pub(crate) fn note_agg_occupancy(&self, depth: usize) {
+        self.live
+            .agg_occupancy_highwater
             .fetch_max(depth as u64, Ordering::SeqCst);
     }
 
     /// All counters since creation, with live gauge levels.
-    pub fn raw_stats(&self) -> NetStats {
+    fn raw_stats(&self) -> NetStats {
         NetStats {
-            pending: self.pending(),
-            max_backoff_ns: self.max_backoff_ns.load(Ordering::SeqCst),
-            agg_occupancy_highwater: self.agg_occupancy_highwater.load(Ordering::SeqCst),
             lclock_ticks: self.clocks.ticks(),
             ..self.live.snapshot()
         }
     }
 
     /// Counters relative to the baseline; gauges report the live level.
-    pub fn stats(&self) -> NetStats {
+    pub(crate) fn stats(&self) -> NetStats {
         self.raw_stats().since(&self.baseline.snapshot())
     }
 
     /// Capture the current raw counters as the new baseline and re-prime
     /// the peak gauges.
-    pub fn reset_stats(&self) {
-        self.baseline.store(&NetStats {
-            lclock_ticks: self.clocks.ticks(),
-            ..self.live.snapshot()
-        });
-        self.max_backoff_ns.store(0, Ordering::SeqCst);
-        self.agg_occupancy_highwater.store(0, Ordering::SeqCst);
+    pub(crate) fn reset_stats(&self) {
+        self.baseline.store(&self.raw_stats());
+        self.live.max_backoff_ns.store(0, Ordering::SeqCst);
+        self.live.agg_occupancy_highwater.store(0, Ordering::SeqCst);
     }
 
-    pub fn set_tracing(&self, on: bool) {
+    /// The shared per-rank Lamport clock bank.
+    pub(crate) fn clocks(&self) -> &Arc<LamportClocks> {
+        &self.clocks
+    }
+
+    /// Lamport tick for a local or send event on `rank`'s clock (the
+    /// unrouted slot when `None`): returns the post-tick stamp, which a
+    /// sent message carries unchanged through every retransmission. Zero
+    /// while tracing is off, so untraced runs never touch the clock bank.
+    #[inline]
+    pub(crate) fn lamport_tick(&self, rank: Option<u32>) -> u64 {
+        if self.tracing() {
+            self.clocks.tick(self.clocks.slot_for(rank))
+        } else {
+            0
+        }
+    }
+
+    /// Lamport receive: merge a delivered message's carried stamp into
+    /// `rank`'s clock before its action runs, so every event the delivery
+    /// causes is stamped after the wire hop. Zero while tracing is off.
+    #[inline]
+    pub(crate) fn lamport_merge(&self, rank: Option<u32>, carried: u64) -> u64 {
+        if self.tracing() {
+            self.clocks.merge(self.clocks.slot_for(rank), carried)
+        } else {
+            0
+        }
+    }
+
+    pub(crate) fn set_tracing(&self, on: bool) {
         self.trace_on.store(on, Ordering::Relaxed);
     }
 
-    pub fn tracing(&self) -> bool {
+    #[inline]
+    pub(crate) fn tracing(&self) -> bool {
         self.trace_on.load(Ordering::Relaxed)
     }
 
-    pub fn take_trace(&self) -> Vec<NetTraceEvent> {
+    pub(crate) fn take_trace(&self) -> Vec<NetTraceEvent> {
         std::mem::take(&mut self.trace.lock().unwrap())
     }
 
     /// Clone the recorded wire events without draining the sink.
-    pub fn peek_trace(&self) -> Vec<NetTraceEvent> {
+    pub(crate) fn peek_trace(&self) -> Vec<NetTraceEvent> {
         self.trace.lock().unwrap().clone()
     }
 
-    /// Record one wire event at `ts_ns` (no-op unless tracing is on).
+    /// Record one wire event stamped `now_ns()` (no-op, and no clock
+    /// read, unless tracing is on).
     #[inline]
-    pub fn trace_event(&self, ts_ns: u64, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        if self.trace_on.load(Ordering::Relaxed) {
+    pub(crate) fn record(
+        &self,
+        now_ns: impl FnOnce() -> u64,
+        msg: u64,
+        attempt: u32,
+        kind: NetEventKind,
+        lclock: u64,
+    ) {
+        if self.tracing() {
+            let ts_ns = now_ns();
             self.trace.lock().unwrap().push(NetTraceEvent {
                 ts_ns,
                 msg,
@@ -428,6 +442,24 @@ impl ConduitCounters {
                 kind,
                 lclock,
             });
+        }
+    }
+
+    /// Arm or disarm the progress-thread waker.
+    pub(crate) fn set_waker(&self, waker: Option<Arc<dyn Fn() + Send + Sync>>) {
+        let armed = waker.is_some();
+        *self.waker.lock().unwrap() = waker;
+        self.waker_armed.store(armed, Ordering::Release);
+    }
+
+    /// Prod the armed waker, if any. One relaxed load when unarmed.
+    #[inline]
+    pub(crate) fn wake(&self) {
+        if self.waker_armed.load(Ordering::Relaxed) {
+            let w = self.waker.lock().unwrap().clone();
+            if let Some(w) = w {
+                w();
+            }
         }
     }
 }

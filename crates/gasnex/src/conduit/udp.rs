@@ -72,14 +72,13 @@
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::clock::LamportClocks;
-use crate::conduit::{Conduit, ConduitCounters, InFlight};
+use crate::conduit::{Conduit, ConduitCore, InFlight};
 use crate::config::{ClockMode, FaultPlan, NetConfig};
-use crate::net::{ppm, splitmix64, NetAction, NetEventKind, NetStats, NetTraceEvent};
+use crate::net::{ppm, splitmix64, NetAction, NetEventKind};
 use crate::rank::Rank;
 use crate::world::World;
 
@@ -172,12 +171,10 @@ pub struct UdpConduit {
     payloads: Mutex<HashMap<u64, Parked>>,
     /// Transmissions awaiting an ACK, keyed by message id.
     unacked: Mutex<HashMap<u64, Flight>>,
-    /// One rank drains sockets at a time; losers take the busy-hint path.
+    /// One rank drains sockets at a time (through
+    /// [`ConduitCore::enter_poll`]); losers take the busy-hint path.
     poll_gate: Mutex<()>,
-    ctr: ConduitCounters,
-    /// Shared per-rank Lamport clocks: ticked at injection, merged at
-    /// delivery — only while tracing is on.
-    clocks: std::sync::Arc<LamportClocks>,
+    core: ConduitCore,
 }
 
 impl UdpConduit {
@@ -228,8 +225,7 @@ impl UdpConduit {
             payloads: Mutex::new(HashMap::new()),
             unacked: Mutex::new(HashMap::new()),
             poll_gate: Mutex::new(()),
-            ctr: ConduitCounters::new(std::sync::Arc::clone(&clocks)),
-            clocks,
+            core: ConduitCore::new(clocks),
         }
     }
 
@@ -281,7 +277,7 @@ impl UdpConduit {
             // Deliberate loss: never hand the frame to the kernel; the
             // retransmission deadline recovers it, just like the
             // simulator's drop-to-timer conversion.
-            self.ctr.note_drop(backoff);
+            self.core.note_drop(backoff);
             self.trace_event(
                 msg,
                 attempt,
@@ -316,16 +312,12 @@ impl UdpConduit {
                 from_node,
                 to_node,
                 attempt,
-                due_ns: self.now_wall_ns() + backoff,
+                due_ns: self.now_ns() + backoff,
                 kind,
                 route,
                 lclock,
             },
         );
-    }
-
-    fn now_wall_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Drain one node socket, executing DATA deliveries and retiring ACKs.
@@ -362,16 +354,9 @@ impl UdpConduit {
                         .send_to(&ack, self.addrs[frame.src_node as usize % self.addrs.len()]);
                     match parked {
                         Some(parked) => {
-                            // Lamport receive: merge the stamp the frame
-                            // actually carried across the kernel into the
-                            // destination rank's clock before the action
-                            // runs.
-                            let merged = if self.ctr.tracing() {
-                                self.clocks
-                                    .merge(self.clocks.slot_for(parked.dst_rank), frame.lclock)
-                            } else {
-                                0
-                            };
+                            // Lamport receive of the stamp the frame
+                            // actually carried across the kernel.
+                            let merged = self.core.lamport_merge(parked.dst_rank, frame.lclock);
                             self.trace_event(
                                 frame.msg,
                                 frame.attempt,
@@ -379,8 +364,7 @@ impl UdpConduit {
                                 merged,
                             );
                             (parked.action)(world);
-                            self.ctr.note_delivered();
-                            self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
+                            self.core.note_delivered();
                         }
                         None => {
                             // Absent from the table = already executed: a
@@ -392,7 +376,7 @@ impl UdpConduit {
                                 NetEventKind::DupDiscard,
                                 frame.lclock,
                             );
-                            self.ctr.note_dup_suppressed();
+                            self.core.note_dup_suppressed();
                         }
                     }
                 }
@@ -407,7 +391,7 @@ impl UdpConduit {
 
     /// Resend every flight whose retransmission deadline has passed.
     fn retransmit_due(&self) -> usize {
-        let now = self.now_wall_ns();
+        let now = self.now_ns();
         let due: Vec<(u64, Flight)> = {
             let unacked = self.unacked.lock().unwrap();
             unacked
@@ -418,7 +402,7 @@ impl UdpConduit {
         };
         let n = due.len();
         for (msg, f) in due {
-            self.ctr.note_retry();
+            self.core.note_retry();
             self.trace_event(msg, f.attempt + 1, NetEventKind::Retry, f.lclock);
             self.send_attempt(
                 msg,
@@ -436,17 +420,10 @@ impl UdpConduit {
     /// Shared injection path: park the payload, then put attempt 0 of a
     /// `kind` frame on the wire.
     fn inject_kind(&self, route: Option<(Rank, Rank)>, action: NetAction, kind: u8) -> u64 {
-        let msg = self.ctr.next_msg();
-        self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
+        let msg = self.core.inject_msg();
         let route = route.map(|(s, t)| (s.0, t.0));
-        // Lamport send event: tick the injecting rank's clock; the stamp
-        // rides every frame of this message (tracing-gated).
-        let lclock = if self.ctr.tracing() {
-            self.clocks
-                .tick(self.clocks.slot_for(route.map(|(s, _)| s)))
-        } else {
-            0
-        };
+        // Lamport send event: the stamp rides every frame of this message.
+        let lclock = self.core.lamport_tick(route.map(|(s, _)| s));
         self.trace_event(msg, 0, NetEventKind::Inject, lclock);
         let nodes = self.sockets.len() as u64;
         let (from_node, to_node) = match route {
@@ -466,7 +443,7 @@ impl UdpConduit {
         );
         self.send_attempt(msg, 0, from_node, to_node, kind, route, lclock);
         // New traffic: prod a parked progress thread (no-op when unarmed).
-        self.ctr.wake();
+        self.core.wake();
         msg
     }
 }
@@ -479,23 +456,14 @@ impl Conduit for UdpConduit {
     /// Signal-carrying injection: a SIGNAL frame on the same
     /// ack/retransmit/dedup flights as DATA, plus the signal counter.
     fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.ctr.note_signal();
+        self.core.note_signal();
         self.inject_kind(route, action, KIND_SIGNAL)
     }
 
     fn poll(&self, world: &World) -> usize {
-        let _gate = match self.poll_gate.try_lock() {
+        let _gate = match self.core.enter_poll(&self.poll_gate) {
             Ok(g) => g,
-            Err(_) => {
-                std::thread::yield_now();
-                match self.poll_gate.try_lock() {
-                    Ok(g) => g,
-                    Err(_) => {
-                        self.ctr.note_contended_poll();
-                        return usize::from(self.ctr.pending() > 0);
-                    }
-                }
-            }
+            Err(busy) => return busy,
         };
         let mut work = 0;
         for node in 0..self.sockets.len() {
@@ -507,43 +475,7 @@ impl Conduit for UdpConduit {
 
     /// Wall clock only: a kernel socket cannot be time-warped.
     fn now_ns(&self) -> u64 {
-        self.now_wall_ns()
-    }
-
-    fn injected(&self) -> u64 {
-        self.ctr.injected()
-    }
-
-    fn delivered(&self) -> u64 {
-        self.ctr.delivered()
-    }
-
-    fn pending(&self) -> usize {
-        self.ctr.pending()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.ctr.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.ctr.reset_stats();
-    }
-
-    fn set_tracing(&self, on: bool) {
-        self.ctr.set_tracing(on);
-    }
-
-    fn tracing(&self) -> bool {
-        self.ctr.tracing()
-    }
-
-    fn take_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.take_trace()
-    }
-
-    fn peek_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.peek_trace()
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Every sent-but-unacked flight, in ascending `msg` order. An entry's
@@ -564,31 +496,8 @@ impl Conduit for UdpConduit {
         out
     }
 
-    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        if self.ctr.tracing() {
-            self.ctr
-                .trace_event(self.now_wall_ns(), msg, attempt, kind, lclock);
-        }
-    }
-
-    fn clocks(&self) -> &std::sync::Arc<LamportClocks> {
-        &self.clocks
-    }
-
-    fn note_batch(&self, ops: u64, reason: crate::aggregate::FlushReason) {
-        self.ctr.note_batch(ops, reason);
-    }
-
-    fn note_agg_occupancy(&self, depth: usize) {
-        self.ctr.note_agg_occupancy(depth);
-    }
-
-    fn set_progress_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>) {
-        self.ctr.set_waker(waker);
-    }
-
-    fn wake_progress(&self) {
-        self.ctr.wake();
+    fn core(&self) -> &ConduitCore {
+        &self.core
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -600,7 +509,7 @@ impl Conduit for UdpConduit {
 mod tests {
     use super::*;
     use crate::config::{GasnexConfig, Transport};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn udp_world(faults: Option<FaultPlan>) -> Arc<World> {

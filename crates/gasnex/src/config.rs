@@ -11,10 +11,9 @@
 ///   lets the runtime treat every global pointer as directly addressable
 ///   (the "constexpr `is_local`" optimization the paper describes for
 ///   2021.3.6).
-/// * [`ConduitKind::Udp`] and [`ConduitKind::Mpi`] permit multiple
-///   simulated nodes; co-located ranks communicate through process-shared
-///   memory while ranks on different simulated nodes go through the
-///   [`Conduit`] transport.
+/// * [`ConduitKind::Udp`] permits multiple simulated nodes; co-located
+///   ranks communicate through process-shared memory while ranks on
+///   different simulated nodes go through the [`Conduit`] transport.
 ///
 /// [`Conduit`]: crate::conduit::Conduit
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -24,9 +23,6 @@ pub enum ConduitKind {
     /// UDP conduit stand-in: multi-node capable, process-shared memory
     /// within a node.
     Udp,
-    /// MPI conduit stand-in: as `Udp`, plus the collective bootstrap the
-    /// graph-matching application relies on.
-    Mpi,
 }
 
 impl ConduitKind {
@@ -333,14 +329,6 @@ impl GasnexConfig {
             net: NetConfig::default(),
             agg: crate::aggregate::AggConfig::default(),
             notify_words: DEFAULT_NOTIFY_WORDS,
-        }
-    }
-
-    /// Multi-node configuration over the MPI conduit stand-in.
-    pub fn mpi(ranks: usize, ranks_per_node: usize) -> Self {
-        GasnexConfig {
-            conduit: ConduitKind::Mpi,
-            ..Self::udp(ranks, ranks_per_node)
         }
     }
 

@@ -8,8 +8,8 @@
 //! * **Shared segments** ([`segment::Segment`]) — one per rank, addressable
 //!   by every rank, with race-tolerant word-atomic storage and a free-list
 //!   offset allocator ([`alloc::SegAlloc`]).
-//! * **Conduits & topology** ([`config`], [`rank`]) — SMP / UDP / MPI
-//!   conduit flavors; ranks grouped into simulated nodes, where same-node
+//! * **Conduits & topology** ([`config`], [`rank`]) — SMP / UDP conduit
+//!   flavors; ranks grouped into simulated nodes, where same-node
 //!   access is direct (process-shared memory) and cross-node operations go
 //!   through the network.
 //! * **Events** ([`event::Event`]) — per-operation completion handles that
@@ -63,7 +63,7 @@ pub use alloc::{OutOfSegmentMemory, SegAlloc};
 pub use am::AmCtx;
 pub use amo::AmoOp;
 pub use clock::LamportClocks;
-pub use conduit::{udp::UdpConduit, Conduit, InFlight};
+pub use conduit::{udp::UdpConduit, Conduit, ConduitCore, InFlight};
 pub use config::{ClockMode, ConduitKind, FaultPlan, GasnexConfig, NetConfig, Transport};
 pub use event::{Event, EventCore};
 pub use mailbox::{MpQueue, ReadyQueue};

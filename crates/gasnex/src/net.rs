@@ -55,7 +55,7 @@
 //! delivery: the **clock** is an atomic (`vclock`) or a lock-free `Instant`
 //! read; the **delivery heap** has the only lock the delivery path takes
 //! (plus the dedup set); and **statistics** — including the `reset_stats`
-//! baseline — live entirely in atomics ([`ConduitCounters`]), so `now_ns()`
+//! baseline — live entirely in atomics ([`ConduitCore`]), so `now_ns()`
 //! and `stats()` are wait-free with respect to a poll in progress.
 
 use std::cmp::Reverse;
@@ -64,7 +64,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::clock::LamportClocks;
-use crate::conduit::{Conduit, ConduitCounters, InFlight};
+use crate::conduit::{Conduit, ConduitCore, InFlight};
 use crate::config::{ClockMode, FaultPlan, NetConfig};
 use crate::rank::Rank;
 use crate::world::World;
@@ -125,125 +125,150 @@ pub enum FieldClass {
     Gauge,
 }
 
-/// Snapshot of a conduit's counters, including the chaos-mode reliability
-/// layer. `injected`/`delivered`/`pending` count logical messages exactly
-/// as the quiescence protocol sees them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct NetStats {
-    /// Logical messages injected since creation.
-    pub injected: u64,
-    /// Logical messages delivered (each action executes exactly once).
-    pub delivered: u64,
-    /// Messages awaiting delivery: undelivered messages, pending
-    /// retransmission timers, and duplicate copies not yet suppressed.
-    pub pending: usize,
-    /// Polls that lost the queue-lock race twice and returned a busy hint.
-    pub contended_polls: u64,
-    /// Retransmissions performed after an injected drop.
-    pub retries: u64,
-    /// Transmission attempts the fault plan dropped.
-    pub drops_injected: u64,
-    /// Duplicate copies discarded by receiver-side sequence-number dedup.
-    pub dup_suppressed: u64,
-    /// Largest retransmission backoff applied (gauge; bounded by the plan's
-    /// `max_backoff_ns`).
-    pub max_backoff_ns: u64,
-    /// Duplicate copies that arrived before their original and were
-    /// promoted to perform the delivery.
-    pub dup_promoted: u64,
-    /// Batch messages injected by the aggregation layer.
-    pub batches_injected: u64,
-    /// Fine-grained operations carried inside those batches.
-    pub ops_coalesced: u64,
-    /// Batch flushes triggered by the size threshold.
-    pub flushes_size: u64,
-    /// Batch flushes triggered by the age timeout.
-    pub flushes_age: u64,
-    /// Batch flushes triggered explicitly (barrier / quiesce / user flush).
-    pub flushes_explicit: u64,
-    /// Deepest per-target aggregation buffer observed (gauge).
-    pub agg_occupancy_highwater: u64,
-    /// Signal-carrying messages (put/amo-with-signal) injected.
-    pub signals: u64,
-    /// Lamport clock advances (ticks + merges) performed by the causal
-    /// tracing layer. Zero unless tracing is enabled.
-    pub lclock_ticks: u64,
+/// `since` semantics for one field class: counters subtract (saturating),
+/// gauges pass the later sample through — a high-water mark is a level,
+/// not a count, so callers see the peak over the run.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! since_field {
+    (counter, $later:expr, $earlier:expr) => {
+        $later.saturating_sub($earlier)
+    };
+    (gauge, $later:expr, $earlier:expr) => {
+        $later
+    };
 }
 
-impl NetStats {
-    /// Field names and classes, in declaration order — the registration
-    /// hook the runtime's metrics registry consumes. Order matches
-    /// [`NetStats::values`].
-    pub const FIELDS: &'static [(&'static str, FieldClass)] = &[
-        ("injected", FieldClass::Counter),
-        ("delivered", FieldClass::Counter),
-        ("pending", FieldClass::Gauge),
-        ("contended_polls", FieldClass::Counter),
-        ("retries", FieldClass::Counter),
-        ("drops_injected", FieldClass::Counter),
-        ("dup_suppressed", FieldClass::Counter),
-        ("max_backoff_ns", FieldClass::Gauge),
-        ("dup_promoted", FieldClass::Counter),
-        ("batches_injected", FieldClass::Counter),
-        ("ops_coalesced", FieldClass::Counter),
-        ("flushes_size", FieldClass::Counter),
-        ("flushes_age", FieldClass::Counter),
-        ("flushes_explicit", FieldClass::Counter),
-        ("agg_occupancy_highwater", FieldClass::Gauge),
-        ("signals", FieldClass::Counter),
-        ("lclock_ticks", FieldClass::Counter),
-    ];
+/// Map the lowercase class keyword used in a field list to [`FieldClass`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! field_class {
+    (counter) => {
+        $crate::FieldClass::Counter
+    };
+    (gauge) => {
+        $crate::FieldClass::Gauge
+    };
+}
 
-    /// Field values in the same order as [`NetStats::FIELDS`].
-    pub fn values(&self) -> Vec<u64> {
-        vec![
-            self.injected,
-            self.delivered,
-            self.pending as u64,
-            self.contended_polls,
-            self.retries,
-            self.drops_injected,
-            self.dup_suppressed,
-            self.max_backoff_ns,
-            self.dup_promoted,
-            self.batches_injected,
-            self.ops_coalesced,
-            self.flushes_size,
-            self.flushes_age,
-            self.flushes_explicit,
-            self.agg_occupancy_highwater,
-            self.signals,
-            self.lclock_ticks,
-        ]
-    }
-
-    /// Field-wise difference (`self - earlier`): counters subtract
-    /// (saturating at zero); gauges (`pending`, `max_backoff_ns`) report
-    /// the later sample unchanged — a queue depth is a level, not a count.
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        NetStats {
-            injected: self.injected.saturating_sub(earlier.injected),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            pending: self.pending,
-            contended_polls: self.contended_polls.saturating_sub(earlier.contended_polls),
-            retries: self.retries.saturating_sub(earlier.retries),
-            drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
-            dup_suppressed: self.dup_suppressed.saturating_sub(earlier.dup_suppressed),
-            max_backoff_ns: self.max_backoff_ns,
-            dup_promoted: self.dup_promoted.saturating_sub(earlier.dup_promoted),
-            batches_injected: self
-                .batches_injected
-                .saturating_sub(earlier.batches_injected),
-            ops_coalesced: self.ops_coalesced.saturating_sub(earlier.ops_coalesced),
-            flushes_size: self.flushes_size.saturating_sub(earlier.flushes_size),
-            flushes_age: self.flushes_age.saturating_sub(earlier.flushes_age),
-            flushes_explicit: self
-                .flushes_explicit
-                .saturating_sub(earlier.flushes_explicit),
-            agg_occupancy_highwater: self.agg_occupancy_highwater,
-            signals: self.signals.saturating_sub(earlier.signals),
-            lclock_ticks: self.lclock_ticks.saturating_sub(earlier.lclock_ticks),
+/// Declare a statistics field set exactly once. From one list of
+/// `name: counter | gauge` fields the macro generates:
+///
+/// * the atomic bank `$bank` — one `AtomicU64` per field, with
+///   `snapshot()` and `store()` using `Ordering::$ord`;
+/// * the public snapshot `$snap` (carrying the field doc comments) with
+///   `FIELDS` (names and classes, the metrics registry's registration
+///   hook), `values()` in the same order, and `since()`.
+///
+/// Adding a field in the list therefore cannot skip any of them. Used for
+/// [`NetStats`] here and for the runtime's per-rank `StatsSnapshot`.
+#[macro_export]
+macro_rules! declare_stats {
+    (
+        $(#[$bank_meta:meta])* $bank_vis:vis struct $bank:ident($ord:ident);
+        $(#[$snap_meta:meta])* pub struct $snap:ident {
+            $( $(#[$doc:meta])* $name:ident : $class:ident ),+ $(,)?
         }
+    ) => {
+        $(#[$bank_meta])*
+        #[derive(Default)]
+        $bank_vis struct $bank {
+            $( pub $name: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        impl $bank {
+            /// Load every field.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $name: self.$name.load(::std::sync::atomic::Ordering::$ord), )+
+                }
+            }
+
+            /// Store every field of `s`.
+            pub fn store(&self, s: &$snap) {
+                $( self.$name.store(s.$name, ::std::sync::atomic::Ordering::$ord); )+
+            }
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $snap {
+            $( $(#[$doc])* pub $name: u64, )+
+        }
+
+        impl $snap {
+            /// Field names and classes, in declaration order. Order
+            /// matches the values returned by `values()`.
+            pub const FIELDS: &'static [(&'static str, $crate::FieldClass)] = &[
+                $( (stringify!($name), $crate::field_class!($class)), )+
+            ];
+
+            /// Field values in the same order as `FIELDS`.
+            pub fn values(&self) -> Vec<u64> {
+                vec![ $( self.$name, )+ ]
+            }
+
+            /// Field-wise difference (`self - earlier`): counters subtract
+            /// (saturating at zero); gauges report the later sample
+            /// unchanged.
+            pub fn since(&self, earlier: &$snap) -> $snap {
+                $snap {
+                    $( $name: $crate::since_field!($class, self.$name, earlier.$name), )+
+                }
+            }
+        }
+    };
+}
+
+declare_stats! {
+    /// Atomic bank of every [`NetStats`] field. A conduit keeps two: the
+    /// live counters and the `reset_stats` baseline. SeqCst throughout,
+    /// because quiescence detection reads `injected`, `delivered` and
+    /// `pending` from other threads.
+    pub(crate) struct NetCounters(SeqCst);
+
+    /// Snapshot of a conduit's counters, including the chaos-mode
+    /// reliability layer. `injected`/`delivered`/`pending` count logical
+    /// messages exactly as the quiescence protocol sees them.
+    pub struct NetStats {
+        /// Logical messages injected since creation.
+        injected: counter,
+        /// Logical messages delivered (each action executes exactly once).
+        delivered: counter,
+        /// Messages awaiting delivery: undelivered messages, pending
+        /// retransmission timers, and duplicate copies not yet suppressed.
+        pending: gauge,
+        /// Polls that lost the queue-lock race twice and returned a busy hint.
+        contended_polls: counter,
+        /// Retransmissions performed after an injected drop.
+        retries: counter,
+        /// Transmission attempts the fault plan dropped.
+        drops_injected: counter,
+        /// Duplicate copies discarded by receiver-side sequence-number dedup.
+        dup_suppressed: counter,
+        /// Largest retransmission backoff applied (gauge; bounded by the
+        /// plan's `max_backoff_ns`).
+        max_backoff_ns: gauge,
+        /// Duplicate copies that arrived before their original and were
+        /// promoted to perform the delivery.
+        dup_promoted: counter,
+        /// Batch messages injected by the aggregation layer.
+        batches_injected: counter,
+        /// Fine-grained operations carried inside those batches.
+        ops_coalesced: counter,
+        /// Batch flushes triggered by the size threshold.
+        flushes_size: counter,
+        /// Batch flushes triggered by the age timeout.
+        flushes_age: counter,
+        /// Batch flushes triggered explicitly (barrier / quiesce / user flush).
+        flushes_explicit: counter,
+        /// Deepest per-target aggregation buffer observed (gauge).
+        agg_occupancy_highwater: gauge,
+        /// Signal-carrying messages (put/amo-with-signal) injected.
+        signals: counter,
+        /// Lamport clock advances (ticks + merges) performed by the causal
+        /// tracing layer. Zero unless tracing is enabled.
+        lclock_ticks: counter,
     }
 }
 
@@ -323,13 +348,10 @@ pub struct SimNetwork {
     /// copy's arrival evicts the id, and non-duplicated messages never
     /// enter, so the set is bounded by the in-flight dup pairs.
     acked: Mutex<HashSet<u64>>,
-    /// Counters, gauges, baseline, and the wire-event sink — all atomic or
-    /// independently locked, never touched under the queue lock's scope in
-    /// a way an observer would wait on.
-    ctr: ConduitCounters,
-    /// Shared per-rank Lamport clocks: ticked at injection, merged at
-    /// delivery — only while tracing is on.
-    clocks: std::sync::Arc<LamportClocks>,
+    /// Counters, gauges, baseline, the wire-event sink and the Lamport
+    /// clocks — all atomic or independently locked, never touched under
+    /// the queue lock's scope in a way an observer would wait on.
+    core: ConduitCore,
 }
 
 use std::sync::atomic::Ordering;
@@ -348,30 +370,7 @@ impl SimNetwork {
             heap_seq: std::sync::atomic::AtomicU64::new(0),
             queue: Mutex::new(BinaryHeap::new()),
             acked: Mutex::new(HashSet::new()),
-            ctr: ConduitCounters::new(std::sync::Arc::clone(&clocks)),
-            clocks,
-        }
-    }
-
-    /// The network's notion of "now": nanoseconds since creation under
-    /// `ClockMode::Wall`, or the logical time-warp counter under
-    /// `ClockMode::Virtual`. This is the clock every trace timestamp uses,
-    /// so virtual-clock traces are bit-replayable.
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        match self.cfg.clock {
-            ClockMode::Wall => self.epoch.elapsed().as_nanos() as u64,
-            ClockMode::Virtual => self.vclock.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Record one wire event with its Lamport stamp (no-op unless tracing
-    /// is on).
-    #[inline]
-    fn record(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        if self.ctr.tracing() {
-            self.ctr
-                .trace_event(self.now_ns(), msg, attempt, kind, lclock);
+            core: ConduitCore::new(clocks),
         }
     }
 
@@ -407,8 +406,8 @@ impl SimNetwork {
 
     /// Schedule transmission attempt `attempt` of message `msg`, running
     /// fate selection (drop / duplicate / reorder) against the fault plan.
-    /// Caller holds the queue lock and has already accounted the message in
-    /// `pending_len`; duplicate copies add their own pending entry here.
+    /// Caller holds the queue lock and has already counted the message
+    /// pending; duplicate copies add their own pending entry here.
     fn schedule_attempt(
         &self,
         q: &mut BinaryHeap<Reverse<Delivery>>,
@@ -427,8 +426,8 @@ impl SimNetwork {
                 // so nothing can leak, and re-enter fate selection when the
                 // timer fires.
                 let backoff = Self::backoff_ns(plan, attempt);
-                self.ctr.note_drop(backoff);
-                self.record(
+                self.core.note_drop(backoff);
+                self.trace_event(
                     msg,
                     attempt,
                     NetEventKind::Drop {
@@ -489,7 +488,7 @@ impl SimNetwork {
                     slot: std::sync::Arc::clone(&slot),
                 },
             }));
-            self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
+            self.core.copy_queued();
             q.push(Reverse(Delivery {
                 due_ns: self.shape(now + self.cfg.latency_ns + jitter + lag),
                 seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
@@ -518,11 +517,6 @@ impl SimNetwork {
         }
     }
 
-    /// Polls that lost the queue-lock race twice and returned a busy hint.
-    pub fn contended_polls(&self) -> u64 {
-        self.ctr.contended_polls()
-    }
-
     /// How many dup-pair ids the receiver-side dedup set currently holds
     /// (first copy arrived, second still in flight). Bounded by `pending`.
     pub fn acked_len(&self) -> usize {
@@ -545,45 +539,6 @@ impl SimNetwork {
     pub fn config(&self) -> NetConfig {
         self.cfg
     }
-
-    /// Snapshot every heap entry the network still owes a delivery for,
-    /// in deterministic `(msg, due_ns, seq)` order. Takes the queue lock
-    /// briefly; never executes actions.
-    pub fn inflight(&self) -> Vec<InFlight> {
-        let q = self.queue.lock().unwrap();
-        let mut out: Vec<(u64, InFlight)> = q
-            .iter()
-            .map(|Reverse(d)| {
-                let (msg, attempt, retransmit, route) = match &d.payload {
-                    Payload::Attempt {
-                        msg,
-                        attempt,
-                        dropped,
-                        route,
-                        ..
-                    } => (*msg, *attempt, *dropped, *route),
-                    Payload::Copy {
-                        msg,
-                        attempt,
-                        route,
-                        ..
-                    } => (*msg, *attempt, false, *route),
-                };
-                (
-                    d.seq,
-                    InFlight {
-                        msg,
-                        attempt,
-                        retransmit,
-                        due_ns: d.due_ns,
-                        route,
-                    },
-                )
-            })
-            .collect();
-        out.sort_by_key(|(seq, f)| (f.msg, f.due_ns, *seq));
-        out.into_iter().map(|(_, f)| f).collect()
-    }
 }
 
 impl Conduit for SimNetwork {
@@ -594,58 +549,29 @@ impl Conduit for SimNetwork {
     /// on the heap entry so `inflight()` can name the rank pair a stuck
     /// message belongs to.
     fn inject_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        let msg = self.ctr.next_msg();
-        self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
+        let msg = self.core.inject_msg();
         let route = route.map(|(s, t)| (s.0, t.0));
-        // Lamport send event: tick the injecting rank's clock and stamp
-        // the wire message with the post-tick value (tracing-gated, so
-        // untraced runs never touch the clock bank).
-        let lclock = if self.ctr.tracing() {
-            self.clocks
-                .tick(self.clocks.slot_for(route.map(|(s, _)| s)))
-        } else {
-            0
-        };
-        self.record(msg, 0, NetEventKind::Inject, lclock);
+        // Lamport send event: the wire message carries the injecting
+        // rank's post-tick stamp.
+        let lclock = self.core.lamport_tick(route.map(|(s, _)| s));
+        self.trace_event(msg, 0, NetEventKind::Inject, lclock);
         {
             let mut q = self.queue.lock().unwrap();
             self.schedule_attempt(&mut q, msg, 0, route, lclock, action);
         }
         // New traffic: prod a parked progress thread (no-op when unarmed).
-        self.ctr.wake();
+        self.core.wake();
         msg
-    }
-
-    /// Signal-carrying injection: identical wire behaviour to `inject_to`
-    /// (the badge rides inside the delivery action, which the chaos layer
-    /// already executes exactly once post-dedup), plus the signal counter.
-    fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.ctr.note_signal();
-        self.inject_to(route, action)
     }
 
     /// Execute all deliveries whose due time has passed. Returns the number
     /// of work items observed: deliveries performed (including suppressed
-    /// duplicates and retransmission timers fired), or a busy hint of 1
-    /// when another rank holds the queue while deliveries are outstanding —
-    /// a rank that loses the lock race must not conclude "locally idle"
-    /// while due work may exist (it would make quiescence sampling
-    /// transiently wrong).
+    /// duplicates and retransmission timers fired), or the poll gate's busy
+    /// hint when another rank holds the queue.
     fn poll(&self, world: &World) -> usize {
-        let mut q = match self.queue.try_lock() {
+        let mut q = match self.core.enter_poll(&self.queue) {
             Ok(q) => q,
-            Err(_) => {
-                // The holder is usually mid-drain for a few microseconds;
-                // retry once before falling back to the busy hint.
-                std::thread::yield_now();
-                match self.queue.try_lock() {
-                    Ok(q) => q,
-                    Err(_) => {
-                        self.ctr.note_contended_poll();
-                        return usize::from(self.ctr.pending() > 0);
-                    }
-                }
-            }
+            Err(busy) => return busy,
         };
         if q.is_empty() {
             return 0;
@@ -688,12 +614,12 @@ impl Conduit for SimNetwork {
                     // Retransmission timer fired: resend with the next
                     // attempt number. The logical message stays pending:
                     // this pops one heap entry and pushes exactly one (or
-                    // two sharing one extra `pending_len` increment if the
+                    // two sharing one extra pending increment if the
                     // resend is duplicated), so `pending()` keeps mirroring
                     // the heap length. The retransmission carries the
                     // original send stamp — it is the same logical send.
-                    self.ctr.note_retry();
-                    self.record(msg, attempt + 1, NetEventKind::Retry, lclock);
+                    self.core.note_retry();
+                    self.trace_event(msg, attempt + 1, NetEventKind::Retry, lclock);
                     let mut q = self.queue.lock().unwrap();
                     self.schedule_attempt(&mut q, msg, attempt + 1, route, lclock, action);
                 }
@@ -705,23 +631,10 @@ impl Conduit for SimNetwork {
                     lclock,
                     action,
                 } => {
-                    // Lamport receive: merge the carried stamp into the
-                    // destination rank's clock before the action runs, so
-                    // every rank-side event the delivery causes is stamped
-                    // after the wire hop.
-                    let merged = if self.ctr.tracing() {
-                        self.clocks
-                            .merge(self.clocks.slot_for(route.map(|(_, t)| t)), lclock)
-                    } else {
-                        0
-                    };
-                    self.record(msg, attempt, NetEventKind::Deliver, merged);
+                    let merged = self.core.lamport_merge(route.map(|(_, t)| t), lclock);
+                    self.trace_event(msg, attempt, NetEventKind::Deliver, merged);
                     (action)(world);
-                    // Counted after the action so injected == delivered
-                    // implies no action is mid-flight (quiescence
-                    // detection).
-                    self.ctr.note_delivered();
-                    self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
+                    self.core.note_delivered();
                 }
                 Payload::Copy {
                     msg,
@@ -751,96 +664,77 @@ impl Conduit for SimNetwork {
                             .unwrap()
                             .take()
                             .expect("first copy holds the payload");
-                        let merged = if self.ctr.tracing() {
-                            self.clocks
-                                .merge(self.clocks.slot_for(route.map(|(_, t)| t)), lclock)
-                        } else {
-                            0
-                        };
-                        self.record(msg, attempt, NetEventKind::Deliver, merged);
+                        let merged = self.core.lamport_merge(route.map(|(_, t)| t), lclock);
+                        self.trace_event(msg, attempt, NetEventKind::Deliver, merged);
                         (action)(world);
-                        self.ctr.note_delivered();
+                        self.core.note_delivered();
                         if !primary {
-                            self.ctr.note_dup_promoted();
+                            self.core.note_dup_promoted();
                         }
                     } else {
-                        self.record(msg, attempt, NetEventKind::DupDiscard, lclock);
-                        self.ctr.note_dup_suppressed();
+                        self.trace_event(msg, attempt, NetEventKind::DupDiscard, lclock);
+                        self.core.note_dup_suppressed();
+                        self.core.copy_retired();
                     }
-                    self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
         n
     }
 
+    /// The network's notion of "now": nanoseconds since creation under
+    /// `ClockMode::Wall`, or the logical time-warp counter under
+    /// `ClockMode::Virtual`. This is the clock every trace timestamp uses,
+    /// so virtual-clock traces are bit-replayable.
     #[inline]
     fn now_ns(&self) -> u64 {
-        SimNetwork::now_ns(self)
+        match self.cfg.clock {
+            ClockMode::Wall => self.epoch.elapsed().as_nanos() as u64,
+            ClockMode::Virtual => self.vclock.load(Ordering::SeqCst),
+        }
     }
 
-    fn injected(&self) -> u64 {
-        self.ctr.injected()
-    }
-
-    fn delivered(&self) -> u64 {
-        self.ctr.delivered()
-    }
-
-    fn pending(&self) -> usize {
-        self.ctr.pending()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.ctr.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.ctr.reset_stats();
-    }
-
-    fn set_tracing(&self, on: bool) {
-        self.ctr.set_tracing(on);
-    }
-
-    fn tracing(&self) -> bool {
-        self.ctr.tracing()
-    }
-
-    fn take_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.take_trace()
-    }
-
-    fn peek_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.peek_trace()
-    }
-
+    /// Snapshot every heap entry the network still owes a delivery for,
+    /// in deterministic `(msg, due_ns, seq)` order. Takes the queue lock
+    /// briefly; never executes actions.
     fn inflight(&self) -> Vec<InFlight> {
-        SimNetwork::inflight(self)
+        let q = self.queue.lock().unwrap();
+        let mut out: Vec<(u64, InFlight)> = q
+            .iter()
+            .map(|Reverse(d)| {
+                let (msg, attempt, retransmit, route) = match &d.payload {
+                    Payload::Attempt {
+                        msg,
+                        attempt,
+                        dropped,
+                        route,
+                        ..
+                    } => (*msg, *attempt, *dropped, *route),
+                    Payload::Copy {
+                        msg,
+                        attempt,
+                        route,
+                        ..
+                    } => (*msg, *attempt, false, *route),
+                };
+                (
+                    d.seq,
+                    InFlight {
+                        msg,
+                        attempt,
+                        retransmit,
+                        due_ns: d.due_ns,
+                        route,
+                    },
+                )
+            })
+            .collect();
+        out.sort_by_key(|(seq, f)| (f.msg, f.due_ns, *seq));
+        out.into_iter().map(|(_, f)| f).collect()
     }
 
-    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        self.record(msg, attempt, kind, lclock);
-    }
-
-    fn clocks(&self) -> &std::sync::Arc<LamportClocks> {
-        &self.clocks
-    }
-
-    fn note_batch(&self, ops: u64, reason: crate::aggregate::FlushReason) {
-        self.ctr.note_batch(ops, reason);
-    }
-
-    fn note_agg_occupancy(&self, depth: usize) {
-        self.ctr.note_agg_occupancy(depth);
-    }
-
-    fn set_progress_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>) {
-        self.ctr.set_waker(waker);
-    }
-
-    fn wake_progress(&self) {
-        self.ctr.wake();
+    fn core(&self) -> &ConduitCore {
+        &self.core
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -963,7 +857,7 @@ mod tests {
                 1,
                 "lost lock race with pending work must report busy"
             );
-            assert_eq!(sim(&w).contended_polls(), 1);
+            assert_eq!(w.net().stats().contended_polls, 1);
             assert_eq!(
                 w.net().delivered(),
                 0,

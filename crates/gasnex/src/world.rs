@@ -253,11 +253,7 @@ impl World {
             // Lamport stamp for the signal routing: a local event on the
             // initiator's clock (the rank whose ready queue receives the
             // token), ordered before the Wakeup the drain will record.
-            let lclock = if world.net.tracing() {
-                world.clocks.tick(world.clocks.slot_for(Some(initiator.0)))
-            } else {
-                0
-            };
+            let lclock = world.net.core().lamport_tick(Some(initiator.0));
             world.net.trace_event(
                 u64::MAX,
                 0,

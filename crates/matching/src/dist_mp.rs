@@ -276,7 +276,7 @@ mod tests {
 
     fn check(g: &Graph, ranks: usize) {
         let seq = greedy(g);
-        let rt = RuntimeConfig::mpi(ranks, ranks).with_segment_size(1 << 20);
+        let rt = RuntimeConfig::udp(ranks, ranks).with_segment_size(1 << 20);
         let out = launch(rt, |u| solve_mp(u, g).0);
         for m in out {
             assert_eq!(m.mate, seq.mate, "message-passing result must equal greedy");
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn mp_and_rma_agree() {
         let g = graphgen::geometric(400, 8.0, 10, 7);
-        let rt = RuntimeConfig::mpi(4, 4).with_segment_size(1 << 22);
+        let rt = RuntimeConfig::udp(4, 4).with_segment_size(1 << 22);
         let mp = launch(rt, |u| solve_mp(u, &g).0);
         let rma = crate::benchmark(4, upcr::LibVersion::V2021_3_6Eager, &g);
         assert_eq!(mp[0].edges(), rma.matched);

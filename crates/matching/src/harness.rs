@@ -43,13 +43,14 @@ pub fn run(u: &Upcr, g: &Graph) -> (MatchRun, crate::sequential::Matching) {
     )
 }
 
-/// Launch a fresh runtime (MPI conduit, as the paper used for this
-/// application) and solve `g` under the given version.
+/// Launch a fresh single-node runtime over the UDP conduit (the paper ran
+/// this application on the MPI conduit; no code here depends on which)
+/// and solve `g` under the given version.
 pub fn benchmark(ranks: usize, version: LibVersion, g: &Graph) -> MatchRun {
     // Segment: two u64 words per owned vertex, plus scratch and slack.
     let per_rank_vertices = g.n.div_ceil(ranks);
     let seg = ((per_rank_vertices * 16 + 64 * 1024).next_power_of_two()).max(1 << 16);
-    let rt = RuntimeConfig::mpi(ranks, ranks)
+    let rt = RuntimeConfig::udp(ranks, ranks)
         .with_version(version)
         .with_segment_size(seg);
     let results = launch(rt, |u| run(u, g).0);
@@ -72,7 +73,7 @@ mod tests {
         for preset in [Preset::Channel, Preset::Youtube] {
             let g = preset.generate(0.02);
             let seq = greedy(&g);
-            let rt = RuntimeConfig::mpi(4, 4).with_segment_size(1 << 20);
+            let rt = RuntimeConfig::udp(4, 4).with_segment_size(1 << 20);
             let runs = launch(rt, |u| {
                 let (_, m) = run(u, &g);
                 m.validate(&g);
@@ -91,7 +92,7 @@ mod tests {
         for seed in 0..5 {
             let g = graphgen::powerlaw(200, 3, seed);
             let seq = greedy(&g);
-            let rt = RuntimeConfig::mpi(8, 8).with_segment_size(1 << 18);
+            let rt = RuntimeConfig::udp(8, 8).with_segment_size(1 << 18);
             let m = launch(rt, |u| run(u, &g).1);
             assert_eq!(m[0].mate, seq.mate, "seed {seed}");
         }

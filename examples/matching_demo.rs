@@ -17,7 +17,7 @@ fn main() {
         let loc = LocalityStats::measure(&g, ranks, ranks);
         let seq = greedy(&g);
 
-        let rt = RuntimeConfig::mpi(ranks, ranks)
+        let rt = RuntimeConfig::udp(ranks, ranks)
             .with_version(LibVersion::V2021_3_6Eager)
             .with_segment_size(1 << 22);
         let (run, m) = {

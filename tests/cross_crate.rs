@@ -48,7 +48,7 @@ fn matching_rma_read_mix_tracks_locality() {
     let mut fractions = Vec::new();
     for preset in [Preset::Channel, Preset::Youtube] {
         let g = preset.generate(0.05);
-        let rt = RuntimeConfig::mpi(4, 4).with_segment_size(1 << 22);
+        let rt = RuntimeConfig::udp(4, 4).with_segment_size(1 << 22);
         let stats = launch(rt, |u| matching::run(u, &g).0.stats);
         let s = stats[0];
         let frac = s.rma_reads as f64 / (s.rma_reads + s.local_reads).max(1) as f64;
