@@ -41,8 +41,8 @@
 #                    deferral, wait_signal-in-callback diagnosis), then the
 #                    callback-storm chaos differential under all three
 #                    fault plans with and without the progress thread (a
-#                    strict no-op on the virtual clock), the age-flush
-#                    starvation regressions, and the sim-vs-UDP
+#                    strict no-op on the virtual clock), the callback
+#                    drain on the progress thread, and the sim-vs-UDP
 #                    progress-thread smoke (simtest --progress-thread +
 #                    udprun --progress-thread). Timeout-bounded: a lost
 #                    continuation must fail CI, not hang it.
@@ -221,7 +221,8 @@ case "$job" in
 
     # The chaos differential (8 seeds x 3 fault plans, with and without
     # the progress thread — a strict no-op on the virtual clock), the
-    # age-flush starvation regressions, and the sim-vs-UDP agreement run.
+    # callback drain on the progress thread, and the sim-vs-UDP agreement
+    # run.
     echo "==> cargo test -p simtest --release --test continuations"
     timeout 600 cargo test -p simtest --release -q --test continuations
 

@@ -12,16 +12,16 @@
 //!
 //! Because a callback may be executed by a foreign thread, everything it
 //! needs lives here in [`WorldShared`]: one [`RankShared`] slot per rank
-//! holding the rank's statistics bank, its callback queue, and its
-//! sender-side aggregation buffers. The rank's own `RankCtx` holds clones
-//! of its slot; the progress thread walks the slots of its node.
+//! holding the rank's statistics bank and its callback queue. The rank's
+//! own `RankCtx` holds clones of its slot; the progress thread walks the
+//! slots of its node.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gasnex::{Coalescer, Rank, World};
+use gasnex::World;
 
 use crate::stats::Stats;
 use crate::trace::TraceOp;
@@ -95,11 +95,6 @@ pub(crate) struct RankShared {
     pub stats: Arc<Stats>,
     /// Completed continuations awaiting execution.
     pub callbacks: Arc<CallbackQueue>,
-    /// Sender-side aggregation buffers (`None` when the knob is off).
-    /// Shared so the progress thread — and, under age-based flushing, other
-    /// ranks' quanta — can flush an overdue bucket whose owner stopped
-    /// calling `progress()` (the age-flush starvation fix).
-    pub agg: Arc<Mutex<Option<Coalescer<TraceOp>>>>,
 }
 
 /// One slot per rank; built by `launch` before the rank threads start and
@@ -109,20 +104,14 @@ pub(crate) struct WorldShared {
 }
 
 impl WorldShared {
-    pub fn new(world: &World) -> Arc<WorldShared> {
-        let agg_cfg = world.config().agg;
+    pub fn new(world: &World) -> WorldShared {
         let slots = (0..world.ranks())
-            .map(|r| RankShared {
+            .map(|_| RankShared {
                 stats: Arc::new(Stats::default()),
                 callbacks: Arc::new(CallbackQueue::default()),
-                agg: Arc::new(Mutex::new(
-                    agg_cfg
-                        .enabled
-                        .then(|| Coalescer::new(agg_cfg, world.ranks(), Rank::from_idx(r))),
-                )),
             })
             .collect();
-        Arc::new(WorldShared { slots })
+        WorldShared { slots }
     }
 }
 

@@ -13,7 +13,7 @@ use std::any::Any;
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gasnex::net::NetAction;
 use gasnex::{Batch, ClockMode, Coalescer, ConduitKind, EventCore, FlushReason, Push, Rank, World};
@@ -70,12 +70,9 @@ pub(crate) struct RankCtx {
     pub ready_unit: Rc<Cell<()>>,
     /// This rank's statistics bank — shared with the background progress
     /// thread (which attributes callback runs it performs to the owning
-    /// rank), hence the `Arc`.
+    /// rank), hence the `Arc`. `stats` and `callbacks` are clones of this
+    /// rank's [`WorldShared`] slot.
     pub stats: Arc<Stats>,
-    /// Every rank's cross-thread-visible slot (stats, callback queue,
-    /// aggregation buffers), indexed by rank. `stats`/`callbacks`/`agg`
-    /// above are clones of this rank's slot.
-    pub shared: Arc<WorldShared>,
     /// Completed continuation callbacks awaiting execution on behalf of
     /// this rank.
     pub callbacks: Arc<CallbackQueue>,
@@ -94,11 +91,6 @@ pub(crate) struct RankCtx {
     /// that cannot park must not fall back to polling — progress is not
     /// reentrant, so the poll could never deliver the badge.
     pub(crate) in_callback: StdCell<bool>,
-    /// Whether this rank's quantum also age-flushes *other* ranks' overdue
-    /// aggregation buckets (the age-flush starvation fix). True only when
-    /// aggregation is on with a nonzero `max_age_ns`: age-0 configs keep
-    /// the owner-driven flushing, so their wire schedules are unchanged.
-    foreign_age_flush: bool,
     /// Lifecycle-trace gate: the single predictably-taken branch every
     /// instrumentation site checks. Off by default.
     pub trace_on: StdCell<bool>,
@@ -109,19 +101,18 @@ pub(crate) struct RankCtx {
     pub metrics_on: StdCell<bool>,
     /// The per-rank metric sampler (only touched when `metrics_on` is set).
     pub metrics: RefCell<MetricSeries>,
-    /// Sender-side aggregation buffers (`None` when the knob is off). The
-    /// tag threaded through each buffered op is its trace span, so a batch
-    /// flush can stamp every constituent's `NetInject` with the batch's
-    /// wire message id. A clone of this rank's [`WorldShared`] slot: the
-    /// progress thread (and foreign quanta, under age-based flushing) may
-    /// flush overdue buckets, hence the mutex.
-    pub agg: Arc<Mutex<Option<Coalescer<TraceOp>>>>,
+    /// Sender-side aggregation buffers (`None` when the knob is off, so
+    /// the disabled path is one branch). The tag threaded through each
+    /// buffered op is its trace span, so a batch flush can stamp every
+    /// constituent's `NetInject` with the batch's wire message id. Only
+    /// this rank pushes and flushes, hence no lock.
+    pub agg: Option<RefCell<Coalescer<TraceOp>>>,
 }
 
 impl RankCtx {
     pub fn new(world: Arc<World>, me: Rank, version: LibVersion, watchdog_ms: u64) -> Rc<RankCtx> {
         let shared = WorldShared::new(&world);
-        Self::with_shared(world, me, version, watchdog_ms, shared)
+        Self::with_shared(world, me, version, watchdog_ms, &shared)
     }
 
     /// Build a rank context over pre-built shared slots (`launch` creates
@@ -133,7 +124,7 @@ impl RankCtx {
         me: Rank,
         version: LibVersion,
         watchdog_ms: u64,
-        shared: Arc<WorldShared>,
+        shared: &WorldShared,
     ) -> Rc<RankCtx> {
         let assume_all_local =
             world.config().conduit == ConduitKind::Smp && version.has_constexpr_is_local();
@@ -141,11 +132,9 @@ impl RankCtx {
         let wall_clock = world.config().net.clock == ClockMode::Wall;
         let clocks = Arc::clone(world.clocks());
         let slot = &shared.slots[me.idx()];
-        let (stats, callbacks, agg) = (
-            Arc::clone(&slot.stats),
-            Arc::clone(&slot.callbacks),
-            Arc::clone(&slot.agg),
-        );
+        let agg = agg_cfg
+            .enabled
+            .then(|| RefCell::new(Coalescer::new(agg_cfg, world.ranks(), me)));
         Rc::new(RankCtx {
             world,
             me,
@@ -160,12 +149,10 @@ impl RankCtx {
             ready_unit: shared_ready_unit_cell(),
             wall_clock,
             watchdog_ms,
-            stats,
-            shared,
-            callbacks,
+            stats: Arc::clone(&slot.stats),
+            callbacks: Arc::clone(&slot.callbacks),
             in_progress: StdCell::new(false),
             in_callback: StdCell::new(false),
-            foreign_age_flush: agg_cfg.enabled && agg_cfg.max_age_ns > 0,
             trace_on: StdCell::new(false),
             tracer: RefCell::new(RankTracer::with_clocks(me.0, clocks)),
             metrics_on: StdCell::new(false),
@@ -179,22 +166,18 @@ impl RankCtx {
     /// op's trace span gets its `NetInject` stamped with whichever wire
     /// message ends up carrying it — its own, or the flushed batch's.
     pub fn inject_routed(&self, target: Rank, top: TraceOp, action: NetAction) {
-        let pushed = {
-            let mut agg = self.agg.lock().unwrap();
-            match agg.as_mut() {
-                Some(a) => a.push(target.0 as usize, action, top, self.world.net()),
-                None => {
-                    drop(agg);
-                    // Keep the routing hint: socket transports pick the
-                    // node sockets from it, and the conduit's Lamport
-                    // stamp lands on the initiating rank's clock slot
-                    // instead of the shared unrouted slot.
-                    let msg = self.world.net_inject_routed(self.me, target, action);
-                    self.trace_net_inject(top, msg);
-                    return;
-                }
-            }
+        let Some(agg) = &self.agg else {
+            // Keep the routing hint: socket transports pick the node
+            // sockets from it, and the conduit's Lamport stamp lands on the
+            // initiating rank's clock slot instead of the shared unrouted
+            // slot.
+            let msg = self.world.net_inject_routed(self.me, target, action);
+            self.trace_net_inject(top, msg);
+            return;
         };
+        let pushed = agg
+            .borrow_mut()
+            .push(target.0 as usize, action, top, self.world.net());
         match pushed {
             Push::Buffered => {}
             Push::Bypassed { msg } => self.trace_net_inject(top, msg),
@@ -226,10 +209,13 @@ impl RankCtx {
     /// Explicitly drain every aggregation buffer (barriers, quiescence,
     /// user-requested flush). Returns the number of batches injected.
     pub fn agg_flush_explicit(&self) -> usize {
-        let batches = match self.agg.lock().unwrap().as_mut() {
-            Some(a) => a.flush_all(self.world.net(), FlushReason::Explicit),
-            None => return 0,
-        };
+        self.agg_flush(FlushReason::Explicit)
+    }
+
+    /// Drain every aggregation bucket for `reason` and trace the batches.
+    fn agg_flush(&self, reason: FlushReason) -> usize {
+        let Some(agg) = &self.agg else { return 0 };
+        let batches = agg.borrow_mut().flush_all(self.world.net(), reason);
         self.trace_batches(&batches)
     }
 
@@ -443,41 +429,11 @@ impl RankCtx {
         // so callbacks enqueued by callbacks still settle this quantum,
         // never reentrantly.
         n += self.drain_callbacks();
-        // Flush aged aggregation buffers. An otherwise-idle quantum
-        // (n == 0) flushes everything buffered: with no other traffic the
-        // virtual clock cannot advance, so the age timeout alone could
-        // never fire — the backstop keeps waits live. A flush is work
-        // (n counts it), so quiescence keeps spinning until the buffers
-        // and their in-flight batches drain.
-        let flushed = match self.agg.lock().unwrap().as_mut() {
-            Some(a) => {
-                if n == 0 {
-                    a.flush_all(self.world.net(), FlushReason::Age)
-                } else {
-                    a.flush_due(self.world.net())
-                }
-            }
-            None => Vec::new(),
-        };
-        n += self.trace_batches(&flushed);
-        // Age-flush starvation fix: under age-based flushing, also flush
-        // *other* ranks' overdue buckets — a sender that stopped calling
-        // progress() cannot advance its own age trigger. Foreign batches
-        // are injected (and counted as work) but not traced: the owner's
-        // tracer belongs to its thread. try_lock keeps owners and the
-        // progress thread from serializing on each other.
-        if self.foreign_age_flush {
-            for (r, slot) in self.shared.slots.iter().enumerate() {
-                if r == self.me.idx() {
-                    continue;
-                }
-                if let Ok(mut g) = slot.agg.try_lock() {
-                    if let Some(a) = g.as_mut() {
-                        n += a.flush_due(self.world.net()).len();
-                    }
-                }
-            }
-        }
+        // Drain the aggregation buffers: an op buffered below the size
+        // threshold waits at most until its owner's next quantum. A flush
+        // is work (n counts it), so quiescence keeps spinning until the
+        // buffers and their in-flight batches drain.
+        n += self.agg_flush(FlushReason::Age);
         // Record only productive quanta: quiesce spins through millions of
         // idle ones, which would flood the ring with noise.
         if n > 0 && self.trace_on.get() {
@@ -520,12 +476,7 @@ impl RankCtx {
             && self.world.ready_queued(self.me) == 0
             && self.replies.borrow().is_empty()
             && self.world.ams_queued(self.me) == 0
-            && self
-                .agg
-                .lock()
-                .unwrap()
-                .as_ref()
-                .is_none_or(|a| a.buffered() == 0)
+            && self.agg.as_ref().is_none_or(|a| a.borrow().buffered() == 0)
     }
 }
 

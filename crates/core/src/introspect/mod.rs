@@ -77,10 +77,8 @@ impl Snapshot {
             pending_ops: ctx.tracer.borrow().open_spans(),
             agg_buckets: ctx
                 .agg
-                .lock()
-                .unwrap()
                 .as_ref()
-                .map(|a| a.snapshot_buckets(now))
+                .map(|a| a.borrow().snapshot_buckets(now))
                 .unwrap_or_default(),
             inflight: ctx.world.net().inflight(),
             notify_words: ctx.world.notify().snapshot(),

@@ -34,9 +34,9 @@ pub struct RuntimeConfig {
     /// deterministically and are bounded by quiescence instead.
     pub watchdog_ms: u64,
     /// Spawn one background progress thread per simulated node, driving
-    /// `Conduit::poll`, coalescer age-flushes, and continuation-callback
-    /// drains on a parked-condvar cadence (woken by injections and
-    /// callback enqueues). Strict no-op — not even spawned — under
+    /// `Conduit::poll` and continuation-callback drains on a
+    /// parked-condvar cadence (woken by injections and callback
+    /// enqueues). Strict no-op — not even spawned — under
     /// [`gasnex::ClockMode::Virtual`], so every chaos/differential
     /// schedule stays byte-replayable.
     pub progress_thread: bool,
@@ -160,12 +160,12 @@ where
             for node in 0..topo.nodes() {
                 let node_ranks: Vec<usize> = topo.node_ranks(node).map(|r| r as usize).collect();
                 let world = Arc::clone(&world);
-                let shared = Arc::clone(&shared);
+                let shared = &shared;
                 let stop = Arc::clone(&stop);
                 let waker = Arc::clone(&waker);
                 pthreads.push(s.spawn(move || {
                     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        progress_thread_loop(&world, &shared, &node_ranks, &stop, &waker);
+                        progress_thread_loop(&world, shared, &node_ranks, &stop, &waker);
                     }));
                     if run.is_err() {
                         // A panicking user callback on this thread must not
@@ -178,7 +178,7 @@ where
         let mut handles = Vec::with_capacity(ranks);
         for r in 0..ranks {
             let world = Arc::clone(&world);
-            let shared = Arc::clone(&shared);
+            let shared = &shared;
             let f = &f;
             handles.push(s.spawn(move || {
                 let ctx = RankCtx::with_shared(
@@ -227,10 +227,11 @@ where
 }
 
 /// Body of one per-node background progress thread: poll the conduit,
-/// drain the node's continuation callbacks, flush overdue coalescer
-/// buckets, then park on the waker until the cadence elapses or an
-/// injection/enqueue wakes it. Poll and wakeup counts are attributed to
-/// the node's first rank.
+/// drain the node's continuation callbacks, then park on the waker until
+/// the cadence elapses or an injection/enqueue wakes it. Poll and wakeup
+/// counts are attributed to the node's first rank. Aggregation buffers
+/// are not touched: they belong to their rank, whose own progress, barrier
+/// or quiescence flushes them.
 fn progress_thread_loop(
     world: &Arc<World>,
     shared: &WorldShared,
@@ -240,8 +241,6 @@ fn progress_thread_loop(
 ) {
     use std::sync::atomic::Ordering;
     let home = &shared.slots[node_ranks[0]].stats;
-    let agg_cfg = world.config().agg;
-    let age_flush = agg_cfg.enabled && agg_cfg.max_age_ns > 0;
     while !stop.load(Ordering::Acquire) && !world.is_aborted() {
         bump(&home.progress_thread_polls);
         let mut did = world.net().poll(world);
@@ -252,17 +251,6 @@ fn progress_thread_loop(
                 bump(&slot.stats.callbacks_run);
                 cb();
             });
-            // The age-flush starvation fix: a bucket whose owner stopped
-            // calling progress() can never reach its age trigger by
-            // itself; flush it here. try_lock keeps the owner's own
-            // quantum from serializing against this thread.
-            if age_flush {
-                if let Ok(mut g) = slot.agg.try_lock() {
-                    if let Some(a) = g.as_mut() {
-                        did += a.flush_due(world.net()).len();
-                    }
-                }
-            }
         }
         if did == 0 && waker.wait(std::time::Duration::from_micros(100)) {
             bump(&home.progress_thread_wakeups);

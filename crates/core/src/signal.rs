@@ -1,8 +1,8 @@
 //! Notifiable RMA: put-with-signal, amo-with-signal, and `wait_signal`.
 //!
 //! The seL4/UNR-style notification layer over [`gasnex::NotifyTable`]:
-//! every rank owns a small array of 64-bit *notification words* (size set
-//! by [`gasnex::GasnexConfig::with_notify_words`]). A signal-carrying
+//! every rank owns a small array of 64-bit *notification words*
+//! ([`gasnex::config::NOTIFY_WORDS`] of them). A signal-carrying
 //! operation performs its data movement and then OR-coalesces a caller-
 //! chosen *badge* into one of the target's words — Idle words turn Active,
 //! Active words coalesce, and a rank blocked in [`Upcr::wait_signal`] on a
@@ -50,7 +50,7 @@ fn check_signal_args(ctx: &RankCtx, word: usize, badge: u64) {
     let words = ctx.world.notify().words_per_rank();
     assert!(
         word < words,
-        "signal word {word} out of range (notify_words = {words})"
+        "signal word {word} out of range (each rank has {words} notification words)"
     );
     assert_ne!(badge, 0, "a zero badge would coalesce into nothing");
 }

@@ -21,10 +21,9 @@
 //!
 //! * **Size** — a bucket reaching `flush_ops` buffered operations flushes
 //!   inside the initiating call ([`Push::Flushed`]).
-//! * **Age** — [`Coalescer::flush_due`] flushes buckets whose oldest op
-//!   has waited at least `max_age_ns` on the network clock; the runtime
-//!   calls it from every progress quantum, so `max_age_ns == 0` means
-//!   "flush at the next progress call".
+//! * **Age** — the owning rank's next progress quantum drains every
+//!   non-empty bucket ([`Coalescer::flush_all`] with [`FlushReason::Age`]),
+//!   so a buffered op waits at most until its owner next calls progress.
 //! * **Explicit** — [`Coalescer::flush_all`] drains everything; barriers
 //!   and quiescence use it so no op can linger across a synchronization
 //!   point.
@@ -51,7 +50,7 @@ use crate::rank::Rank;
 pub enum FlushReason {
     /// The bucket reached the configured size threshold.
     Size,
-    /// The bucket's oldest op exceeded the age timeout.
+    /// The owning rank's progress quantum drained the bucket.
     Age,
     /// An explicit flush (barrier, quiescence, or user request).
     Explicit,
@@ -74,9 +73,6 @@ pub struct AggConfig {
     pub enabled: bool,
     /// Size threshold: a bucket flushes when it holds this many ops.
     pub flush_ops: usize,
-    /// Age timeout on the network clock; 0 flushes at the next progress
-    /// quantum.
-    pub max_age_ns: u64,
     /// Per-target bound on injected-but-undelivered batches; at the bound
     /// new ops bypass the (closed) buffer.
     pub max_inflight: usize,
@@ -87,7 +83,6 @@ impl Default for AggConfig {
         AggConfig {
             enabled: false,
             flush_ops: 16,
-            max_age_ns: 0,
             max_inflight: 4,
         }
     }
@@ -101,12 +96,6 @@ impl AggConfig {
             flush_ops,
             ..AggConfig::default()
         }
-    }
-
-    /// Override the age timeout.
-    pub fn with_max_age_ns(mut self, ns: u64) -> Self {
-        self.max_age_ns = ns;
-        self
     }
 
     /// Override the per-target in-flight batch bound.
@@ -148,7 +137,7 @@ pub struct BucketSnapshot {
 
 /// What [`Coalescer::push`] did with an operation.
 pub enum Push<T> {
-    /// Buffered; a later size/age/explicit flush will carry it.
+    /// Buffered; a later size, quantum or explicit flush will carry it.
     Buffered,
     /// The push crossed the size threshold and the bucket flushed.
     Flushed(Batch<T>),
@@ -169,7 +158,7 @@ pub struct Batch<T> {
 struct Bucket<T> {
     ops: Vec<(NetAction, T)>,
     /// Network-clock time the oldest buffered op entered (valid while
-    /// `ops` is non-empty).
+    /// `ops` is non-empty); reported as the snapshot's `age_ns`.
     opened_ns: u64,
     /// Batches injected for this target and not yet delivered; shared
     /// with the in-flight batch actions, which decrement on delivery.
@@ -261,22 +250,7 @@ impl<T: Copy> Coalescer<T> {
         }
     }
 
-    /// Flush every bucket whose oldest op has aged past `max_age_ns` on
-    /// the network clock (all non-empty buckets when the timeout is 0).
-    pub fn flush_due(&mut self, net: &dyn Conduit) -> Vec<Batch<T>> {
-        let now = net.now_ns();
-        let me = self.me;
-        let mut out = Vec::new();
-        for (target, b) in self.buckets.iter_mut().enumerate() {
-            if !b.ops.is_empty() && now.saturating_sub(b.opened_ns) >= self.cfg.max_age_ns {
-                let route = Some((me, Rank(target as u32)));
-                out.push(Self::flush_bucket(b, route, net, FlushReason::Age));
-            }
-        }
-        out
-    }
-
-    /// Flush every non-empty bucket regardless of age.
+    /// Flush every non-empty bucket, in ascending target order.
     pub fn flush_all(&mut self, net: &dyn Conduit, reason: FlushReason) -> Vec<Batch<T>> {
         let me = self.me;
         let mut out = Vec::new();
@@ -384,11 +358,10 @@ mod tests {
     #[test]
     fn age_and_explicit_flushes_count_separately() {
         let w = quick_world();
-        let cfg = AggConfig::enabled(100).with_max_age_ns(0);
-        let mut c: Coalescer<()> = Coalescer::new(cfg, 2, Rank(0));
+        let mut c: Coalescer<()> = Coalescer::new(AggConfig::enabled(100), 2, Rank(0));
         c.push(0, Box::new(|_| {}), (), w.net());
-        let due = c.flush_due(w.net());
-        assert_eq!(due.len(), 1, "max_age_ns = 0 flushes at the next call");
+        let due = c.flush_all(w.net(), FlushReason::Age);
+        assert_eq!(due.len(), 1);
         assert_eq!(due[0].reason, FlushReason::Age);
         c.push(1, Box::new(|_| {}), (), w.net());
         let all = c.flush_all(w.net(), FlushReason::Explicit);

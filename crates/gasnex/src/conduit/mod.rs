@@ -423,7 +423,12 @@ impl ConduitCore {
     }
 
     /// Record one wire event stamped `now_ns()` (no-op, and no clock
-    /// read, unless tracing is on).
+    /// read, unless tracing is on). The clock is read under the sink lock,
+    /// so append order is timestamp order: a thread preempted between
+    /// reading the clock and appending would otherwise land its event
+    /// after a later-stamped one (e.g. a `Deliver` after the same
+    /// message's `DupDiscard`), which the causal assembler counts as a
+    /// violation.
     #[inline]
     pub(crate) fn record(
         &self,
@@ -434,8 +439,9 @@ impl ConduitCore {
         lclock: u64,
     ) {
         if self.tracing() {
+            let mut sink = self.trace.lock().unwrap();
             let ts_ns = now_ns();
-            self.trace.lock().unwrap().push(NetTraceEvent {
+            sink.push(NetTraceEvent {
                 ts_ns,
                 msg,
                 attempt,
@@ -461,5 +467,32 @@ impl ConduitCore {
                 w();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_reads_the_clock_under_the_sink_lock() {
+        let core = ConduitCore::new(LamportClocks::new(1));
+        core.set_tracing(true);
+        core.record(
+            || {
+                assert!(
+                    core.trace.try_lock().is_err(),
+                    "the timestamp must be read while the sink is held"
+                );
+                7
+            },
+            0,
+            0,
+            NetEventKind::Inject,
+            0,
+        );
+        let events = core.take_trace();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].ts_ns, 7);
     }
 }

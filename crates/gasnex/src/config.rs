@@ -275,9 +275,9 @@ impl NetConfig {
     }
 }
 
-/// Default notification words per rank — plenty for a badge-per-peer
-/// scheme on small worlds while keeping the table allocation trivial.
-pub const DEFAULT_NOTIFY_WORDS: usize = 16;
+/// Notification words per rank — plenty for a badge-per-peer scheme on
+/// small worlds while keeping the table allocation trivial.
+pub const NOTIFY_WORDS: usize = 16;
 
 /// Configuration of a `gasnex` world.
 #[derive(Clone, Debug)]
@@ -285,8 +285,7 @@ pub struct GasnexConfig {
     /// Total number of ranks (SPMD "processes", realized as threads).
     pub ranks: usize,
     /// Number of ranks per simulated node. Ranks `[k*n, (k+1)*n)` form node
-    /// `k`. Must evenly divide or exceed `ranks` shape constraints are not
-    /// required; the last node may be ragged.
+    /// `k`. It need not divide `ranks`: the last node may be ragged.
     pub ranks_per_node: usize,
     /// Size in bytes of each rank's shared segment.
     pub segment_size: usize,
@@ -298,8 +297,6 @@ pub struct GasnexConfig {
     pub net: NetConfig,
     /// Sender-side aggregation knob for fine-grained cross-node ops.
     pub agg: crate::aggregate::AggConfig,
-    /// Notification words per rank for put-with-signal badge coalescing.
-    pub notify_words: usize,
 }
 
 impl GasnexConfig {
@@ -314,7 +311,6 @@ impl GasnexConfig {
             transport: Transport::Sim,
             net: NetConfig::default(),
             agg: crate::aggregate::AggConfig::default(),
-            notify_words: DEFAULT_NOTIFY_WORDS,
         }
     }
 
@@ -328,7 +324,6 @@ impl GasnexConfig {
             transport: Transport::Sim,
             net: NetConfig::default(),
             agg: crate::aggregate::AggConfig::default(),
-            notify_words: DEFAULT_NOTIFY_WORDS,
         }
     }
 
@@ -357,12 +352,6 @@ impl GasnexConfig {
         self
     }
 
-    /// Override the number of notification words per rank.
-    pub fn with_notify_words(mut self, words: usize) -> Self {
-        self.notify_words = words;
-        self
-    }
-
     /// Number of simulated nodes implied by this configuration.
     pub fn nodes(&self) -> usize {
         self.ranks.div_ceil(self.ranks_per_node)
@@ -381,10 +370,6 @@ impl GasnexConfig {
             self.segment_size >= 64,
             "gasnex: segment must be at least 64 bytes, got {}",
             self.segment_size
-        );
-        assert!(
-            self.notify_words >= 1,
-            "gasnex: notify_words must be at least 1 (wait_signal needs a word)"
         );
         if self.conduit.single_node_only() {
             assert!(
@@ -501,22 +486,6 @@ mod tests {
             .with_drops(10_000)
             .with_retry(0, 0, 4)
             .validate();
-    }
-
-    #[test]
-    fn notify_words_default_and_override() {
-        let c = GasnexConfig::udp(4, 2);
-        c.validate();
-        assert_eq!(c.notify_words, DEFAULT_NOTIFY_WORDS);
-        let c = c.with_notify_words(3);
-        c.validate();
-        assert_eq!(c.notify_words, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "notify_words must be at least 1")]
-    fn zero_notify_words_rejected() {
-        GasnexConfig::smp(1).with_notify_words(0).validate();
     }
 
     #[test]

@@ -258,7 +258,7 @@ declare_stats! {
         ops_coalesced: counter,
         /// Batch flushes triggered by the size threshold.
         flushes_size: counter,
-        /// Batch flushes triggered by the age timeout.
+        /// Batch flushes by the owning rank's progress quantum.
         flushes_age: counter,
         /// Batch flushes triggered explicitly (barrier / quiesce / user flush).
         flushes_explicit: counter,

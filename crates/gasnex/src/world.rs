@@ -7,7 +7,7 @@ use crate::am::{AmCtx, AmMsg, AmQueues};
 use crate::clock::LamportClocks;
 use crate::conduit::udp::UdpConduit;
 use crate::conduit::Conduit;
-use crate::config::{GasnexConfig, Transport};
+use crate::config::{GasnexConfig, Transport, NOTIFY_WORDS};
 use crate::event::EventCore;
 use crate::mailbox::ReadyQueue;
 use crate::net::{NetAction, SimNetwork};
@@ -92,7 +92,7 @@ impl World {
             local_teams,
             splits: std::sync::Mutex::new(std::collections::HashMap::new()),
             next_team_uid: std::sync::atomic::AtomicU64::new(1_000),
-            notify: NotifyTable::new(cfg.ranks, cfg.notify_words),
+            notify: NotifyTable::new(cfg.ranks, NOTIFY_WORDS),
             clocks,
             deposits: std::sync::Mutex::new(Vec::new()),
             topo,

@@ -370,15 +370,13 @@ pub fn wire_trace_probe(plan: FaultPlan, n: u64) -> (usize, u64) {
 }
 
 /// The aggregation configuration the differential harness sweeps when a
-/// test wants batching on: size-driven flushes only (`max_age_ns = 0`, so
-/// batch boundaries depend purely on program order, not clock readings)
-/// with enough in-flight headroom that backpressure bypass never triggers.
-/// Both properties keep eager and deferred runs injecting identical wire
-/// messages.
+/// test wants batching on: buckets flush on size and at the owner's next
+/// progress quantum, so batch boundaries depend purely on program order,
+/// not clock readings, with enough in-flight headroom that backpressure
+/// bypass never triggers. Both properties keep eager and deferred runs
+/// injecting identical wire messages.
 pub fn harness_agg(flush_ops: usize) -> AggConfig {
-    AggConfig::enabled(flush_ops)
-        .with_max_age_ns(0)
-        .with_max_inflight(64)
+    AggConfig::enabled(flush_ops).with_max_inflight(64)
 }
 
 /// Like [`run`], but with an optional per-target aggregation configuration,

@@ -137,14 +137,12 @@ fn gups_small_aggregation_reduces_messages_with_identical_digest() {
 
 /// The explicit-flush surfaces: [`upcr::Upcr::agg_flush`] drains buffers on
 /// demand, and entering a barrier flushes implicitly — buffered ops never
-/// linger across a synchronization point. Age flushing is disabled
-/// (`max_age_ns = u64::MAX`) and the size threshold is unreachable, so any
-/// delivery here is attributable to an explicit flush.
+/// linger across a synchronization point. No progress call runs between
+/// the pushes and their flush, and the size threshold is unreachable, so
+/// any delivery here is attributable to an explicit flush.
 #[test]
 fn explicit_flush_api_and_barrier_drain_buffers() {
-    let agg = gasnex::AggConfig::enabled(1024)
-        .with_max_age_ns(u64::MAX)
-        .with_max_inflight(64);
+    let agg = gasnex::AggConfig::enabled(1024).with_max_inflight(64);
     let rt = RuntimeConfig::udp(2, 1)
         .with_segment_size(1 << 16)
         .with_net(simtest::net_for(None))
@@ -187,7 +185,7 @@ fn explicit_flush_api_and_barrier_drain_buffers() {
         // barrier is also re-entered above, but empty buffers don't count).
         assert_eq!(s.flushes_explicit, 4, "explicit flushes: {s:?}");
         assert_eq!(s.flushes_size, 0);
-        assert_eq!(s.flushes_age, 0, "age flushing was disabled");
+        assert_eq!(s.flushes_age, 0, "no quantum ran with a buffered op");
         assert_eq!(s.ops_coalesced, 8, "3 + 1 buffered ops per rank");
         assert_eq!(s.batches_injected, 4);
         let slice = u.local_slice_u64(base, WORDS);
@@ -203,4 +201,56 @@ fn explicit_flush_api_and_barrier_drain_buffers() {
             u64::MAX
         );
     });
+}
+
+/// The quantum flush rule: an op buffered below the size threshold leaves
+/// its bucket at its owner's next progress call, as one `Age` batch. With
+/// aggregation off nothing is buffered and the snapshot has no buckets.
+#[test]
+fn owners_next_progress_call_flushes_a_buffered_op() {
+    for agg in [
+        Some(gasnex::AggConfig::enabled(1024).with_max_inflight(64)),
+        None,
+    ] {
+        let mut rt = RuntimeConfig::udp(2, 1)
+            .with_segment_size(1 << 16)
+            .with_net(simtest::net_for(None));
+        if let Some(a) = agg {
+            rt = rt.with_agg(a);
+        }
+        launch(rt, move |u| {
+            let mine = u.new_::<u64>(0);
+            let dst = u.broadcast(mine, 1);
+            u.barrier();
+            if u.rank_me() == 0 {
+                // Rank 1 never pushes, so the world-global counters below
+                // count rank 0's coalescer alone.
+                let f = u.rput(7u64, dst);
+                let buffered: usize = u.snapshot().agg_buckets.iter().map(|b| b.occupancy).sum();
+                assert_eq!(buffered, usize::from(agg.is_some()));
+                assert_eq!(u.net_stats().batches_injected, 0);
+                u.progress();
+                let s = u.net_stats();
+                let snap = u.snapshot();
+                if agg.is_some() {
+                    assert_eq!(s.flushes_age, 1, "{s:?}");
+                    assert_eq!(s.batches_injected, 1, "{s:?}");
+                    assert!(
+                        snap.agg_buckets.iter().all(|b| b.occupancy == 0),
+                        "{:?}",
+                        snap.agg_buckets
+                    );
+                } else {
+                    assert_eq!((s.flushes_age, s.batches_injected), (0, 0));
+                    assert!(snap.agg_buckets.is_empty());
+                }
+                f.wait();
+            }
+            u.barrier();
+            if u.rank_me() == 1 {
+                let v = u.local_slice_u64(mine, 1)[0].load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(v, 7);
+            }
+        });
+    }
 }

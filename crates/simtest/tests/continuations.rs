@@ -5,15 +5,12 @@
 //! equivalent across eager/defer builds under every chaos plan, and a
 //! thread-on simulated run must be **byte-identical** to a thread-off one
 //! (the progress thread is a strict no-op under the virtual clock, so
-//! seeded schedules stay replayable). The age-flush starvation regressions
-//! pin the bugfix that a quiescent sender's coalescer bucket is flushed by
-//! someone else — a peer's progress quantum under the virtual clock, the
-//! background progress thread under the wall clock.
+//! seeded schedules stay replayable).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gasnex::{AggConfig, Transport};
+use gasnex::Transport;
 use simtest::{fault_plans, run, run_with_options, Outcome, Workload};
 use upcr::{launch, LibVersion, RuntimeConfig};
 
@@ -133,114 +130,6 @@ fn callback_storm_agrees_across_sim_and_udp_with_progress_thread() {
         sim.completions, udp.completions,
         "completion count must be conduit-independent"
     );
-}
-
-#[test]
-fn quiescent_senders_bucket_age_flushes_via_peer_progress() {
-    // Age-flush starvation regression, virtual clock: rank 1 buffers one
-    // put below the size threshold and then goes quiescent — it never
-    // calls progress again until released. Rank 0's progress quanta must
-    // age-flush the *foreign* bucket once the virtual clock passes its
-    // deadline. Before the fix this loop never observed the value.
-    let buffered = Arc::new(AtomicBool::new(false));
-    let released = Arc::new(AtomicBool::new(false));
-    let rt = RuntimeConfig::udp(2, 1)
-        .with_segment_size(1 << 14)
-        .with_net(simtest::net_for(None))
-        .with_agg(
-            AggConfig::enabled(64)
-                .with_max_age_ns(50_000)
-                .with_max_inflight(64),
-        );
-    let (buffered2, released2) = (Arc::clone(&buffered), Arc::clone(&released));
-    launch(rt, move |u| {
-        let mine = u.new_::<u64>(0);
-        let r0 = u.broadcast(mine, 0);
-        let r1 = u.broadcast(mine, 1);
-        u.barrier();
-        if u.rank_me() == 1 {
-            // Buffer one put to rank 0 (1 op < flush_ops = 64, so only the
-            // age trigger can ever flush it), then stop progressing.
-            let _pending = u.rput(7u64, r0);
-            buffered2.store(true, Ordering::Release);
-            while !released2.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-        } else {
-            while !buffered2.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            // Keep the virtual clock moving with real cross-node traffic;
-            // each quantum also tries the foreign age-flush.
-            let slot = &u.local_slice_u64(mine, 1)[0];
-            let mut tries = 0u64;
-            while slot.load(Ordering::Acquire) != 7 {
-                u.rget(r1).wait();
-                tries += 1;
-                assert!(
-                    tries < 200_000,
-                    "quiescent sender's bucket never age-flushed (starvation regression)"
-                );
-            }
-            released2.store(true, Ordering::Release);
-        }
-        u.barrier();
-    });
-}
-
-#[test]
-fn quiescent_senders_bucket_age_flushes_via_progress_thread() {
-    // Age-flush starvation regression, wall clock: after rank 1 buffers
-    // the put, *no rank* calls progress at all — the background progress
-    // thread alone must age-flush the bucket, poll the conduit, and land
-    // the write in rank 0's segment.
-    let buffered = Arc::new(AtomicBool::new(false));
-    let released = Arc::new(AtomicBool::new(false));
-    let rt = RuntimeConfig::udp(2, 1)
-        .with_segment_size(1 << 14)
-        .with_agg(
-            AggConfig::enabled(64)
-                .with_max_age_ns(1_000_000)
-                .with_max_inflight(64),
-        )
-        .with_progress_thread(true);
-    let (buffered2, released2) = (Arc::clone(&buffered), Arc::clone(&released));
-    launch(rt, move |u| {
-        let mine = u.new_::<u64>(0);
-        let r0 = u.broadcast(mine, 0);
-        u.barrier();
-        if u.rank_me() == 1 {
-            let _pending = u.rput(7u64, r0);
-            buffered2.store(true, Ordering::Release);
-            while !released2.load(Ordering::Acquire) {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        } else {
-            while !buffered2.load(Ordering::Acquire) {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let slot = &u.local_slice_u64(mine, 1)[0];
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while slot.load(Ordering::Acquire) != 7 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "progress thread never age-flushed the quiescent sender's bucket"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            released2.store(true, Ordering::Release);
-        }
-        u.barrier();
-        // The thread did real work: it polled, and this node's counters saw
-        // the flush (counter lives on the flushing thread's home rank).
-        let s = u.stats();
-        if u.rank_me() == 0 {
-            assert!(
-                s.progress_thread_polls > 0,
-                "progress thread must have polled on node 0"
-            );
-        }
-    });
 }
 
 #[test]
