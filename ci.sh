@@ -3,7 +3,9 @@
 # The workspace has no external dependencies, so everything here works
 # fully offline.
 #
-#   ./ci.sh          tier-1 gate: fmt, clippy, release build, tests
+#   ./ci.sh          tier-1 gate: fmt, clippy, rustdoc (warnings are
+#                    errors, so a doc link to a deleted item fails),
+#                    release build, tests
 #   ./ci.sh chaos    differential chaos sweep: 8 fixed seeds x 3 fault
 #                    plans through crates/simtest in release mode
 #   ./ci.sh trace    trace smoke: seeded GUPS-small with lifecycle tracing
@@ -71,6 +73,9 @@ case "$job" in
 
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
     echo "==> cargo build --release"
     cargo build --release

@@ -247,7 +247,7 @@ pub fn bench_gups_doc(quick: bool) -> String {
 ///   ops, how many rode the conduit (exactly the two off-node senders),
 ///   the badge mask rank 0 woke with — and `polls_while_parked`, which the
 ///   committed baseline pins at **zero**: a parked waiter must burn no
-///   progress polls. The derived `idle_fraction` (pinned 1.0, hard [0,1]
+///   progress polls. The derived `idle_fraction` (pinned 1.0, hard `[0,1]`
 ///   range in the gate) and `polls_per_op` (pinned 0) rows are computed
 ///   from the same pinned counts. (`park_wakeups` and `signals_coalesced`
 ///   depend on arrival timing and are deliberately excluded.)

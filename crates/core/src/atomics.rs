@@ -16,12 +16,10 @@
 
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::Arc;
 
-use gasnex::{AmoOp, EventCore, Rank};
-use std::sync::Mutex;
+use gasnex::{AmoOp, Rank};
 
-use crate::completion::{operation_cx, Completions, CxValue, Notifier};
+use crate::completion::{no_rpcs, operation_cx, Completions, CxValue, Notifier, Wire};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -130,10 +128,9 @@ macro_rules! fetch_family {
 impl<T: AtomicValue> AtomicDomain<T> {
     /// Core dispatch: execute `op` on the word at `target`, routing the
     /// fetched value per `dest`, and produce completions of value type `V`.
-    /// `aggregate` marks the op eligible for sender-side coalescing: only
-    /// non-fetching atomics whose completion carries no value, since a
-    /// fetched result should not wait in a batch buffer behind unrelated
-    /// ops.
+    /// `wire` is [`Wire::Coalesced`] only for non-fetching atomics whose
+    /// completion carries no value, since a fetched result should not wait
+    /// in a batch buffer behind unrelated ops.
     #[allow(clippy::too_many_arguments)] // one parameter per AMO aspect; all call sites are the two wrappers below
     fn issue<V: CxValue, C: Completions<V>>(
         &self,
@@ -142,7 +139,7 @@ impl<T: AtomicValue> AtomicDomain<T> {
         operand: u64,
         operand2: u64,
         dest: FetchDest,
-        aggregate: bool,
+        wire: Wire,
         wrap: impl Fn(u64) -> V + Send + 'static,
         mut cx: C,
     ) -> C::Out {
@@ -155,12 +152,7 @@ impl<T: AtomicValue> AtomicDomain<T> {
         );
         bump(&ctx.stats.amos);
         let top = ctx.trace_op_init(crate::trace::OpKind::Amo, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
-        assert!(
-            rpcs.is_empty(),
-            "remote_cx completions are not supported on atomics"
-        );
+        no_rpcs(&mut cx, "atomics");
         if ctx.addressable(target.rank()) {
             let prior = gasnex::amo::execute(
                 ctx.world.segment(target.rank()),
@@ -175,29 +167,15 @@ impl<T: AtomicValue> AtomicDomain<T> {
             }
             cx.notify(&Notifier::sync(ctx, top, wrap(prior)))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = EventCore::new();
-            let slot: Arc<Mutex<Option<V>>> = Arc::new(Mutex::new(None));
             let (rank, off) = (target.rank(), target.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
-            let signed = T::SIGNED;
-            let action: gasnex::net::NetAction = Box::new(move |w: &gasnex::World| {
+            ctx.inject_op(cx, top, rank, wire, move |w| {
                 let prior =
-                    gasnex::amo::execute(w.segment(rank), off, op, operand, operand2, signed);
+                    gasnex::amo::execute(w.segment(rank), off, op, operand, operand2, T::SIGNED);
                 if let FetchDest::Memory(r, roff) = dest {
                     w.segment(r).write_u64(roff, prior);
                 }
-                *slot2.lock().unwrap() = Some(wrap(prior));
-                core2.signal();
-            });
-            if aggregate {
-                ctx.inject_routed(rank, top, action);
-            } else {
-                let msg = ctx.world.net_inject(action);
-                ctx.trace_net_inject(top, msg);
-            }
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+                wrap(prior)
+            })
         }
     }
 
@@ -212,8 +190,11 @@ impl<T: AtomicValue> AtomicDomain<T> {
     ) -> C::Out {
         // Only the pure-notification form coalesces: a fetch-into-memory op
         // still produces a prior value the caller may be polling for.
-        let aggregate = matches!(dest, FetchDest::Notification);
-        self.issue(target, op, operand, operand2, dest, aggregate, |_| (), cx)
+        let wire = match dest {
+            FetchDest::Notification => Wire::Coalesced,
+            FetchDest::Memory(..) => Wire::Plain,
+        };
+        self.issue(target, op, operand, operand2, dest, wire, |_| (), cx)
     }
 
     fn issue_fetch<C: Completions<T>>(
@@ -230,7 +211,7 @@ impl<T: AtomicValue> AtomicDomain<T> {
             operand,
             operand2,
             FetchDest::Notification,
-            false,
+            Wire::Plain,
             T::from_bits,
             cx,
         )

@@ -30,10 +30,10 @@
 
 use std::any::TypeId;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use gasnex::EventCore;
-use std::sync::Mutex;
+use gasnex::net::NetAction;
+use gasnex::{EventCore, Rank, World};
 
 use crate::ctx::{Deferred, RankCtx};
 use crate::future::cell::{new_cell, new_cell_with_value};
@@ -104,12 +104,81 @@ pub(crate) enum Disp<V: CxValue> {
     /// Synchronously, during initiation, producing `V` — eligible for eager
     /// notification.
     Sync(V),
-    /// Asynchronously: `ev` signals when done; the produced value (if any)
-    /// lands in `slot` before the signal.
-    Async {
-        ev: Arc<EventCore>,
-        slot: Arc<Mutex<Option<V>>>,
-    },
+    /// Asynchronously: the op's [`RemoteDone`] signals once its value is
+    /// stored.
+    Async(Arc<RemoteDone<V>>),
+}
+
+const POISONED: &str = "a thread panicked while holding an op's completion value";
+
+/// The completion object of one off-node operation: the event its
+/// delivery action signals and the value stored just before the signal.
+/// One allocation per op, whatever `V` is.
+pub(crate) struct RemoteDone<V> {
+    ev: EventCore,
+    value: Mutex<Option<V>>,
+}
+
+impl<V: Clone> RemoteDone<V> {
+    fn value(&self) -> V {
+        let v = self.value.lock().expect(POISONED).clone();
+        v.expect("operation event signalled before its value was stored")
+    }
+}
+
+/// The route an off-node operation takes onto the wire.
+pub(crate) enum Wire {
+    /// Unrouted [`World::net_inject`]: gets, bulk and VIS puts, copies,
+    /// and atomics that fetch a value.
+    Plain,
+    /// [`RankCtx::inject_routed`]: through the sender-side coalescer when
+    /// aggregation is on (scalar puts and value-less atomics).
+    Coalesced,
+    /// A release edge for signal ops: flush this rank's aggregation
+    /// buffers, then [`World::net_inject_signal`].
+    Signal,
+}
+
+impl RankCtx {
+    /// The off-node half of every communication operation: inject
+    /// `movement` toward `target` over `wire`, and wire `cx`'s
+    /// notifications to its delivery. The delivery action runs
+    /// `movement` on the target side, stores the value it produces, and
+    /// then signals the op's event.
+    pub(crate) fn inject_op<V: CxValue, C: Completions<V>>(
+        &self,
+        cx: C,
+        top: TraceOp,
+        target: Rank,
+        wire: Wire,
+        movement: impl FnOnce(&World) -> V + Send + 'static,
+    ) -> C::Out {
+        bump(&self.stats.net_injected);
+        let done = Arc::new(RemoteDone {
+            ev: EventCore::default(),
+            value: Mutex::new(None),
+        });
+        let d = Arc::clone(&done);
+        let action: NetAction = Box::new(move |w| {
+            let v = movement(w);
+            *d.value.lock().expect(POISONED) = Some(v);
+            d.ev.signal();
+        });
+        match wire {
+            Wire::Plain => self.trace_net_inject(top, self.world.net_inject(action)),
+            Wire::Coalesced => self.inject_routed(target, top, action),
+            Wire::Signal => {
+                self.agg_flush_explicit();
+                let msg = self.world.net_inject_signal(self.me, target, action);
+                self.trace_net_inject(top, msg);
+            }
+        }
+        cx.notify(&Notifier {
+            ctx: self,
+            op: Disp::Async(done),
+            top,
+        })
+    }
 }
 
 /// Routes each requested notification either eagerly or through the
@@ -136,19 +205,6 @@ impl<'a, V: CxValue> Notifier<'a, V> {
         }
     }
 
-    pub(crate) fn pending(
-        ctx: &'a RankCtx,
-        top: TraceOp,
-        ev: Arc<EventCore>,
-        slot: Arc<Mutex<Option<V>>>,
-    ) -> Self {
-        Notifier {
-            ctx,
-            op: Disp::Async { ev, slot },
-            top,
-        }
-    }
-
     /// Resolve a request mode against the running version. Panics if the
     /// program uses an eager factory under 2021.3.0 semantics, where those
     /// factories do not exist.
@@ -167,136 +223,85 @@ impl<'a, V: CxValue> Notifier<'a, V> {
         }
     }
 
-    /// Operation-completion notification via a future.
-    pub fn op_future(&self, mode: Mode) -> Future<V> {
+    /// The eager check: the op's value when its data movement completed
+    /// synchronously and `mode` allows eager delivery (counted and traced
+    /// here), `None` when the notification must be deferred.
+    fn eager(&self, mode: Mode) -> Option<V> {
+        match &self.op {
+            Disp::Sync(v) if self.eager_requested(mode) => {
+                bump(&self.ctx.stats.eager_notifications);
+                self.ctx.trace_notify(self.top, CompletionPath::Eager);
+                Some(v.clone())
+            }
+            _ => None,
+        }
+    }
+
+    /// The defer path: run `f` on the op's value from a later progress
+    /// quantum — a `Deferred::Now` entry for a synchronous op, an event
+    /// waiter for an in-flight one (the completion token wakes this exact
+    /// notification; the progress engine never re-tests the event).
+    fn defer(&self, f: impl FnOnce(V) + 'static) {
+        let top = self.top;
+        let deliver = move |v| {
+            f(v);
+            crate::ctx::trace_notify(top, CompletionPath::Deferred);
+        };
         match &self.op {
             Disp::Sync(v) => {
-                if self.eager_requested(mode) {
-                    // The eager fast path: no cell allocation for `()`, no
-                    // progress-queue traffic.
-                    bump(&self.ctx.stats.eager_notifications);
-                    self.ctx.trace_notify(self.top, CompletionPath::Eager);
-                    v.clone().into_ready_future()
-                } else {
-                    let cell = new_cell::<V>(1);
-                    let c = Rc::clone(&cell);
-                    let v = v.clone();
-                    let top = self.top;
-                    self.ctx.push_deferred(Deferred::Now(Box::new(move || {
-                        c.set_value(v);
-                        c.fulfill(1);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    })));
-                    Future::from_cell(cell)
-                }
+                let v = v.clone();
+                self.ctx
+                    .push_deferred(Deferred::Now(Box::new(move || deliver(v))));
             }
-            Disp::Async { ev, slot } => {
-                let cell = new_cell::<V>(1);
-                let c = Rc::clone(&cell);
-                let slot = Arc::clone(slot);
-                let top = self.top;
-                // Signal-driven: the completion token wakes this exact
-                // notification; the progress engine never re-tests the event.
-                self.ctx.register_on_event(
-                    ev,
-                    Box::new(move || {
-                        let v = slot
-                            .lock()
-                            .unwrap()
-                            .clone()
-                            .expect("operation event signalled before its value was stored");
-                        c.set_value(v);
-                        c.fulfill(1);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    }),
-                );
-                Future::from_cell(cell)
+            Disp::Async(done) => {
+                let d = Arc::clone(done);
+                self.ctx
+                    .register_on_event(&done.ev, Box::new(move || deliver(d.value())));
             }
         }
+    }
+
+    /// Operation-completion notification via a future.
+    pub fn op_future(&self, mode: Mode) -> Future<V> {
+        if let Some(v) = self.eager(mode) {
+            // The eager fast path: no cell allocation for `()`, no
+            // progress-queue traffic.
+            return v.into_ready_future();
+        }
+        let cell = new_cell::<V>(1);
+        let c = Rc::clone(&cell);
+        self.defer(move |v| {
+            c.set_value(v);
+            c.fulfill(1);
+        });
+        Future::from_cell(cell)
     }
 
     /// Operation-completion notification via a promise.
     pub fn op_promise(&self, p: &Promise<V>, mode: Mode) {
-        match &self.op {
-            Disp::Sync(v) => {
-                if self.eager_requested(mode) {
-                    // Elide the require/fulfill pair entirely; a produced
-                    // value still has to land in the promise's result slot.
-                    bump(&self.ctx.stats.eager_notifications);
-                    self.ctx.trace_notify(self.top, CompletionPath::Eager);
-                    if !is_unit::<V>() {
-                        p.set_value_only(v.clone());
-                    }
-                } else {
-                    p.require_anonymous(1);
-                    let p2 = p.clone();
-                    let v = v.clone();
-                    let top = self.top;
-                    self.ctx.push_deferred(Deferred::Now(Box::new(move || {
-                        if !is_unit::<V>() {
-                            p2.set_value_only(v);
-                        }
-                        p2.fulfill_anonymous(1);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    })));
-                }
+        if let Some(v) = self.eager(mode) {
+            // Elide the require/fulfill pair entirely; a produced value
+            // still has to land in the promise's result slot.
+            if !is_unit::<V>() {
+                p.set_value_only(v);
             }
-            Disp::Async { ev, slot } => {
-                p.require_anonymous(1);
-                let p2 = p.clone();
-                let slot = Arc::clone(slot);
-                let top = self.top;
-                self.ctx.register_on_event(
-                    ev,
-                    Box::new(move || {
-                        if !is_unit::<V>() {
-                            let v =
-                                slot.lock().unwrap().clone().expect(
-                                    "operation event signalled before its value was stored",
-                                );
-                            p2.set_value_only(v);
-                        }
-                        p2.fulfill_anonymous(1);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    }),
-                );
-            }
+            return;
         }
+        p.require_anonymous(1);
+        let p = p.clone();
+        self.defer(move |v| {
+            if !is_unit::<V>() {
+                p.set_value_only(v);
+            }
+            p.fulfill_anonymous(1);
+        });
     }
 
     /// Operation-completion local procedure call.
     pub fn op_lpc(&self, f: Box<dyn FnOnce(V)>, mode: Mode) {
-        match &self.op {
-            Disp::Sync(v) => {
-                if self.eager_requested(mode) {
-                    bump(&self.ctx.stats.eager_notifications);
-                    self.ctx.trace_notify(self.top, CompletionPath::Eager);
-                    f(v.clone());
-                } else {
-                    let v = v.clone();
-                    let top = self.top;
-                    self.ctx.push_deferred(Deferred::Now(Box::new(move || {
-                        f(v);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    })));
-                }
-            }
-            Disp::Async { ev, slot } => {
-                let slot = Arc::clone(slot);
-                let top = self.top;
-                self.ctx.register_on_event(
-                    ev,
-                    Box::new(move || {
-                        let v = slot
-                            .lock()
-                            .unwrap()
-                            .clone()
-                            .expect("operation event signalled before its value was stored");
-                        f(v);
-                        crate::ctx::trace_notify(top, CompletionPath::Deferred);
-                    }),
-                );
-            }
+        match self.eager(mode) {
+            Some(v) => f(v),
+            None => self.defer(f),
         }
     }
 
@@ -317,17 +322,13 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                 let v = v.clone();
                 self.ctx.enqueue_callback(Box::new(move || f(v)), top);
             }
-            Disp::Async { ev, slot } => {
-                let slot = Arc::clone(slot);
+            Disp::Async(done) => {
+                let d = Arc::clone(done);
                 let q = Arc::clone(&self.ctx.callbacks);
                 let stats = Arc::clone(&self.ctx.stats);
                 let world = Arc::clone(&self.ctx.world);
-                ev.on_signal(move || {
-                    let v = slot
-                        .lock()
-                        .unwrap()
-                        .clone()
-                        .expect("operation event signalled before its value was stored");
+                done.ev.on_signal(move || {
+                    let v = d.value();
                     // The signalling thread may be mid-drain of this very
                     // queue (a callback issued the op): count the deferral,
                     // exactly as enqueue_callback does on the rank thread.
@@ -376,6 +377,33 @@ impl<'a, V: CxValue> Notifier<'a, V> {
 
 /// A remote-completion RPC payload (runs on the target after data arrival).
 pub(crate) type RemoteFn = Box<dyn FnOnce() + Send>;
+
+/// Drain the remote-completion RPCs `cx` requests.
+pub(crate) fn take_rpcs<V: CxValue>(cx: &mut impl Completions<V>) -> Vec<RemoteFn> {
+    let mut rpcs = Vec::new();
+    cx.take_remote(&mut rpcs);
+    rpcs
+}
+
+/// Reject remote completion on an operation (`what`) that has no single
+/// target to run the RPC on.
+pub(crate) fn no_rpcs<V: CxValue>(cx: &mut impl Completions<V>, what: &str) {
+    assert!(
+        take_rpcs(cx).is_empty(),
+        "remote_cx completions are not supported on {what}"
+    );
+}
+
+/// Post an operation's remote-completion RPCs, on behalf of `from`, to
+/// run on `target` once the data has landed there. Inlined so that an op
+/// without remote completion, the common case, pays no call on its eager
+/// path.
+#[inline]
+pub(crate) fn post_rpcs(world: &World, target: Rank, from: Rank, rpcs: Vec<RemoteFn>) {
+    for f in rpcs {
+        world.send_am(target, from, move |_| f());
+    }
+}
 
 /// A composed set of completion requests for one operation producing `V`.
 ///

@@ -296,7 +296,7 @@ impl RankCtx {
     /// already done runs the waiter on this thread immediately, depositing
     /// the token for the next quantum — exactly the poll-scan engine's
     /// "deliver at the next progress call" semantics.
-    pub fn register_on_event(&self, ev: &Arc<EventCore>, f: Box<dyn FnOnce()>) {
+    pub fn register_on_event(&self, ev: &EventCore, f: Box<dyn FnOnce()>) {
         bump(&self.stats.deferred_enqueued);
         let token = self.next_token.get();
         self.next_token.set(token + 1);

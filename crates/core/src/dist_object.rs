@@ -23,6 +23,7 @@ use crate::completion::CxValue;
 use crate::ctx::{clone_current, with_ctx};
 use crate::future::cell::new_cell;
 use crate::future::Future;
+use crate::rpc::{send_am_routed, send_reply};
 use crate::runtime::Upcr;
 
 thread_local! {
@@ -144,22 +145,11 @@ pub fn dist_fetch<T: CxValue>(id: u64, rank: Rank) -> Future<T> {
                 .expect("dist_object type mismatch")
                 .clone()
         });
-        let (src, me2) = (amctx.src, amctx.me);
-        let reply = move |_: &gasnex::AmCtx<'_>| crate::ctx::deliver_reply(reply_id, Box::new(v));
-        if amctx.world.topology().same_node(me2, src) {
-            amctx.world.send_am(src, me2, reply);
-        } else {
-            amctx
-                .world
-                .net_inject(Box::new(move |w| w.send_am(src, me2, reply)));
-        }
+        send_reply(amctx, move |_| {
+            crate::ctx::deliver_reply(reply_id, Box::new(v))
+        });
     };
-    if direct {
-        ctx.world.send_am(rank, me, handler);
-    } else {
-        ctx.world
-            .net_inject(Box::new(move |w| w.send_am(rank, me, handler)));
-    }
+    send_am_routed(&ctx.world, me, rank, direct, handler);
     with_ctx(|c| crate::stats::bump(&c.stats.rpcs));
     Future::from_cell(cell)
 }

@@ -8,11 +8,9 @@
 //! additionally performs the extra heap allocation that snapshot 2021.3.6
 //! eliminated (`legacy_extra_alloc`).
 
-use std::sync::Arc;
-
-use std::sync::Mutex;
-
-use crate::completion::{operation_cx, Completions, CxValue, Notifier, RemoteFn};
+use crate::completion::{
+    no_rpcs, operation_cx, post_rpcs, take_rpcs, Completions, CxValue, Notifier, Wire,
+};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -28,13 +26,6 @@ fn legacy_extra_alloc(ctx: &RankCtx) {
     bump(&ctx.stats.legacy_extra_allocs);
     let b: Box<[u64; 6]> = Box::new([0; 6]);
     std::hint::black_box(&b);
-}
-
-/// Enqueue remote-completion RPCs to the target after a local transfer.
-fn post_remote_rpcs_local(ctx: &RankCtx, target: gasnex::Rank, rpcs: Vec<RemoteFn>) {
-    for f in rpcs {
-        ctx.world.send_am(target, ctx.me, move |_| f());
-    }
 }
 
 impl Upcr {
@@ -64,8 +55,7 @@ impl Upcr {
         debug_assert!(!dst.is_null(), "rput to null global pointer");
         bump(&ctx.stats.rputs);
         let top = ctx.trace_op_init(OpKind::Put, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
+        let rpcs = take_rpcs(&mut cx);
         if ctx.addressable(dst.rank()) {
             // Shared-memory bypass: data movement completes synchronously.
             if !ctx.version.has_alloc_elision() {
@@ -74,32 +64,15 @@ impl Upcr {
             ctx.world
                 .segment(dst.rank())
                 .write_scalar(dst.offset(), T::SIZE, val.to_bits());
-            post_remote_rpcs_local(ctx, dst.rank(), rpcs);
+            post_rpcs(&ctx.world, dst.rank(), ctx.me, rpcs);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let (rank, off, bits) = (dst.rank(), dst.offset(), val.to_bits());
-            let src = ctx.me;
-            let core2 = Arc::clone(&core);
+            let (rank, off, bits, me) = (dst.rank(), dst.offset(), val.to_bits(), ctx.me);
             // Fine-grained scalar put: eligible for sender-side aggregation.
-            ctx.inject_routed(
-                rank,
-                top,
-                Box::new(move |w| {
-                    w.segment(rank).write_scalar(off, T::SIZE, bits);
-                    for f in rpcs {
-                        w.send_am(rank, src, move |_| f());
-                    }
-                    core2.signal();
-                }),
-            );
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            ctx.inject_op(cx, top, rank, Wire::Coalesced, move |w| {
+                w.segment(rank).write_scalar(off, T::SIZE, bits);
+                post_rpcs(w, rank, me, rpcs);
+            })
         }
     }
 
@@ -118,12 +91,7 @@ impl Upcr {
         debug_assert!(!src.is_null(), "rget from null global pointer");
         bump(&ctx.stats.rgets);
         let top = ctx.trace_op_init(OpKind::Get, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
-        assert!(
-            rpcs.is_empty(),
-            "remote_cx completions are not supported on rget"
-        );
+        no_rpcs(&mut cx, "rget");
         if ctx.addressable(src.rank()) {
             if !ctx.version.has_alloc_elision() {
                 legacy_extra_alloc(ctx);
@@ -135,19 +103,10 @@ impl Upcr {
             );
             cx.notify(&Notifier::sync(ctx, top, v))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
             let (rank, off) = (src.rank(), src.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
-            let msg = ctx.world.net_inject(Box::new(move |w| {
-                let v = T::from_bits(w.segment(rank).read_scalar(off, T::SIZE));
-                *slot2.lock().unwrap() = Some(v);
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            ctx.inject_op(cx, top, rank, Wire::Plain, move |w| {
+                T::from_bits(w.segment(rank).read_scalar(off, T::SIZE))
+            })
         }
     }
 
@@ -168,42 +127,26 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rputs);
         let top = ctx.trace_op_init(OpKind::Put, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
+        let rpcs = take_rpcs(&mut cx);
+        let write_all = move |w: &gasnex::World, data: &[T]| {
+            let seg = w.segment(dst.rank());
+            for (i, v) in data.iter().enumerate() {
+                seg.write_scalar(dst.offset() + i * T::SIZE, T::SIZE, v.to_bits());
+            }
+        };
         if ctx.addressable(dst.rank()) {
             if !ctx.version.has_alloc_elision() {
                 legacy_extra_alloc(ctx);
             }
-            let seg = ctx.world.segment(dst.rank());
-            for (i, v) in src.iter().enumerate() {
-                seg.write_scalar(dst.offset() + i * T::SIZE, T::SIZE, v.to_bits());
-            }
-            post_remote_rpcs_local(ctx, dst.rank(), rpcs);
+            write_all(&ctx.world, src);
+            post_rpcs(&ctx.world, dst.rank(), ctx.me, rpcs);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let data: Vec<T> = src.to_vec();
-            let (rank, off) = (dst.rank(), dst.offset());
-            let me = ctx.me;
-            let core2 = Arc::clone(&core);
-            let msg = ctx.world.net_inject(Box::new(move |w| {
-                let seg = w.segment(rank);
-                for (i, v) in data.iter().enumerate() {
-                    seg.write_scalar(off + i * T::SIZE, T::SIZE, v.to_bits());
-                }
-                for f in rpcs {
-                    w.send_am(rank, me, move |_| f());
-                }
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            let (data, me) = (src.to_vec(), ctx.me);
+            ctx.inject_op(cx, top, dst.rank(), Wire::Plain, move |w| {
+                write_all(w, &data);
+                post_rpcs(w, dst.rank(), me, rpcs);
+            })
         }
     }
 
@@ -239,8 +182,7 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rgets);
         let top = ctx.trace_op_init(OpKind::Get, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
+        let rpcs = take_rpcs(&mut cx);
         let copy_now = move |w: &gasnex::World| {
             let (ssec, dsec) = (w.segment(src.rank()), w.segment(dst.rank()));
             for i in 0..n {
@@ -253,28 +195,14 @@ impl Upcr {
                 legacy_extra_alloc(ctx);
             }
             copy_now(&ctx.world);
-            post_remote_rpcs_local(ctx, dst.rank(), rpcs);
+            post_rpcs(&ctx.world, dst.rank(), ctx.me, rpcs);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
-            let me = ctx.me;
-            let dst_rank = dst.rank();
-            let msg = ctx.world.net_inject(Box::new(move |w| {
+            let (rank, me) = (dst.rank(), ctx.me);
+            ctx.inject_op(cx, top, rank, Wire::Plain, move |w| {
                 copy_now(w);
-                for f in rpcs {
-                    w.send_am(dst_rank, me, move |_| f());
-                }
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+                post_rpcs(w, rank, me, rpcs);
+            })
         }
     }
 
@@ -294,38 +222,20 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rgets);
         let top = ctx.trace_op_init(OpKind::Get, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
-        assert!(
-            rpcs.is_empty(),
-            "remote_cx completions are not supported on rget"
-        );
+        no_rpcs(&mut cx, "rget");
+        let read_all = move |w: &gasnex::World| -> Vec<T> {
+            let seg = w.segment(src.rank());
+            (0..n)
+                .map(|i| T::from_bits(seg.read_scalar(src.offset() + i * T::SIZE, T::SIZE)))
+                .collect()
+        };
         if ctx.addressable(src.rank()) {
             if !ctx.version.has_alloc_elision() {
                 legacy_extra_alloc(ctx);
             }
-            let seg = ctx.world.segment(src.rank());
-            let data: Vec<T> = (0..n)
-                .map(|i| T::from_bits(seg.read_scalar(src.offset() + i * T::SIZE, T::SIZE)))
-                .collect();
-            cx.notify(&Notifier::sync(ctx, top, data))
+            cx.notify(&Notifier::sync(ctx, top, read_all(&ctx.world)))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
-            let (rank, off) = (src.rank(), src.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
-            let msg = ctx.world.net_inject(Box::new(move |w| {
-                let seg = w.segment(rank);
-                let data: Vec<T> = (0..n)
-                    .map(|i| T::from_bits(seg.read_scalar(off + i * T::SIZE, T::SIZE)))
-                    .collect();
-                *slot2.lock().unwrap() = Some(data);
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            ctx.inject_op(cx, top, src.rank(), Wire::Plain, read_all)
         }
     }
 }

@@ -25,7 +25,7 @@ use crate::trace::{CompletionPath, OpKind};
 /// Route an AM to `target`: directly when addressable, through the
 /// simulated network otherwise. Returns the network message id when the
 /// request crossed the simulated wire.
-fn send_am_routed(
+pub(crate) fn send_am_routed(
     world: &World,
     me: Rank,
     target: Rank,
@@ -38,6 +38,14 @@ fn send_am_routed(
     } else {
         Some(world.net_inject(Box::new(move |w| w.send_am(target, me, handler))))
     }
+}
+
+/// Send `reply` back to the sender of the AM `amctx` is running; the reply
+/// crosses the network iff the request did.
+pub(crate) fn send_reply(amctx: &AmCtx<'_>, reply: impl FnOnce(&AmCtx<'_>) + Send + 'static) {
+    let (src, me) = (amctx.src, amctx.me);
+    let direct = amctx.world.topology().same_node(me, src);
+    send_am_routed(amctx.world, me, src, direct, reply);
 }
 
 impl Upcr {
@@ -71,16 +79,7 @@ impl Upcr {
         }
         let msg = send_am_routed(&ctx.world, ctx.me, target, direct, move |amctx| {
             let r = f();
-            let (src, me) = (amctx.src, amctx.me);
-            let reply = move |_: &AmCtx<'_>| deliver_reply(id, Box::new(r));
-            // The reply crosses the network iff the request did.
-            if amctx.world.topology().same_node(me, src) {
-                amctx.world.send_am(src, me, reply);
-            } else {
-                amctx
-                    .world
-                    .net_inject(Box::new(move |w| w.send_am(src, me, reply)));
-            }
+            send_reply(amctx, move |_| deliver_reply(id, Box::new(r)));
         });
         if let Some(msg) = msg {
             ctx.trace_net_inject(top, msg);
@@ -126,15 +125,7 @@ impl Upcr {
             let a = A::from_bytes(&arg_bytes)
                 .unwrap_or_else(|e| panic!("rpc_args argument deserialization failed: {e}"));
             let result_bytes = f(a).to_bytes();
-            let (src, me) = (amctx.src, amctx.me);
-            let reply = move |_: &AmCtx<'_>| deliver_reply(id, Box::new(result_bytes));
-            if amctx.world.topology().same_node(me, src) {
-                amctx.world.send_am(src, me, reply);
-            } else {
-                amctx
-                    .world
-                    .net_inject(Box::new(move |w| w.send_am(src, me, reply)));
-            }
+            send_reply(amctx, move |_| deliver_reply(id, Box::new(result_bytes)));
         });
         if let Some(msg) = msg {
             ctx.trace_net_inject(top, msg);

@@ -337,7 +337,7 @@ impl Upcr {
 
     /// Asynchronous barrier over all ranks (`upcxx::barrier_async`):
     /// returns a future readied — during a later progress call — once every
-    /// rank has entered the same barrier epoch. Unlike [`barrier`], the
+    /// rank has entered the same barrier epoch. Unlike [`Upcr::barrier`], the
     /// caller keeps running and may overlap work with the synchronization.
     pub fn barrier_async(&self) -> Future<()> {
         let team = self.world_team();

@@ -33,11 +33,11 @@
 //! operation this rank issued before the signal (point-to-point ordering
 //! under uniform latency, acks/retries otherwise).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use gasnex::{AmoOp, EventCore};
+use gasnex::{AmoOp, EventCore, Rank, World};
 
-use crate::completion::{operation_cx, Completions, Notifier};
+use crate::completion::{operation_cx, Completions, Notifier, Wire};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -45,14 +45,33 @@ use crate::runtime::Upcr;
 use crate::stats::{add, bump};
 use crate::trace::OpKind;
 
-/// Validate a `(word, badge)` pair against the world's notification table.
-fn check_signal_args(ctx: &RankCtx, word: usize, badge: u64) {
+/// Validate a notification word index against the world's table.
+fn check_word(ctx: &RankCtx, word: usize) {
     let words = ctx.world.notify().words_per_rank();
     assert!(
         word < words,
         "signal word {word} out of range (each rank has {words} notification words)"
     );
+}
+
+/// Validate the `(word, badge)` pair of a signal-carrying operation.
+fn check_signal_args(ctx: &RankCtx, word: usize, badge: u64) {
+    check_word(ctx, word);
     assert_ne!(badge, 0, "a zero badge would coalesce into nothing");
+}
+
+/// Validate the `(word, mask)` pair of a signal probe or wait.
+fn check_mask_args(ctx: &RankCtx, word: usize, mask: u64) {
+    check_word(ctx, word);
+    assert_ne!(mask, 0, "a zero mask can never match a badge");
+}
+
+/// OR `badge` into `rank`'s notification word `word`. A post that found
+/// the word non-zero coalesced; it counts on the posting thread's rank.
+fn post_badge(w: &World, rank: Rank, word: usize, badge: u64) {
+    if w.notify().post(rank, word, badge) {
+        let _ = crate::ctx::try_with_ctx(|c| bump(&c.stats.signals_coalesced));
+    }
 }
 
 impl Upcr {
@@ -75,43 +94,20 @@ impl Upcr {
         bump(&ctx.stats.signals_sent);
         let top = ctx.trace_op_init(OpKind::Put, true);
         let cx = operation_cx::as_future();
-        let rank = dst.rank();
+        let (rank, off, bits) = (dst.rank(), dst.offset(), val.to_bits());
         if ctx.addressable(rank) {
             // Shared-memory bypass: write, then post the badge directly —
             // the waking thread is the initiator itself.
-            ctx.world
-                .segment(rank)
-                .write_scalar(dst.offset(), T::SIZE, val.to_bits());
-            if ctx.world.notify().post(rank, word, badge) {
-                bump(&ctx.stats.signals_coalesced);
-            }
+            ctx.world.segment(rank).write_scalar(off, T::SIZE, bits);
+            post_badge(&ctx.world, rank, word, badge);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
             // Release edge: everything this rank buffered goes on the wire
             // before the signal message is injected.
-            ctx.agg_flush_explicit();
-            let core = EventCore::new();
-            let (off, bits) = (dst.offset(), val.to_bits());
-            let core2 = Arc::clone(&core);
-            let msg = ctx.world.net_inject_signal(
-                ctx.me,
-                rank,
-                Box::new(move |w| {
-                    w.segment(rank).write_scalar(off, T::SIZE, bits);
-                    if w.notify().post(rank, word, badge) {
-                        let _ = crate::ctx::try_with_ctx(|c| bump(&c.stats.signals_coalesced));
-                    }
-                    core2.signal();
-                }),
-            );
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            ctx.inject_op(cx, top, rank, Wire::Signal, move |w| {
+                w.segment(rank).write_scalar(off, T::SIZE, bits);
+                post_badge(w, rank, word, badge);
+            })
         }
     }
 
@@ -145,33 +141,13 @@ impl Upcr {
         let (off, operand, signed) = (target.offset(), v.to_bits(), T::SIGNED);
         if ctx.addressable(rank) {
             gasnex::amo::execute(ctx.world.segment(rank), off, op, operand, 0, signed);
-            if ctx.world.notify().post(rank, word, badge) {
-                bump(&ctx.stats.signals_coalesced);
-            }
+            post_badge(&ctx.world, rank, word, badge);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
-            ctx.agg_flush_explicit();
-            let core = EventCore::new();
-            let core2 = Arc::clone(&core);
-            let msg = ctx.world.net_inject_signal(
-                ctx.me,
-                rank,
-                Box::new(move |w| {
-                    gasnex::amo::execute(w.segment(rank), off, op, operand, 0, signed);
-                    if w.notify().post(rank, word, badge) {
-                        let _ = crate::ctx::try_with_ctx(|c| bump(&c.stats.signals_coalesced));
-                    }
-                    core2.signal();
-                }),
-            );
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            ctx.inject_op(cx, top, rank, Wire::Signal, move |w| {
+                gasnex::amo::execute(w.segment(rank), off, op, operand, 0, signed);
+                post_badge(w, rank, word, badge);
+            })
         }
     }
 
@@ -180,7 +156,7 @@ impl Upcr {
     /// returned bits are cleared, so each badge is observed exactly once.
     pub fn test_signal(&self, word: usize, mask: u64) -> u64 {
         let ctx = &*self.ctx;
-        check_signal_args(ctx, word, mask);
+        check_mask_args(ctx, word, mask);
         let got = ctx.world.notify().try_consume(ctx.me, word, mask);
         if got != 0 {
             ctx.trace_signal(word, got);
@@ -210,7 +186,7 @@ impl Upcr {
     /// aborts the world.
     pub fn wait_signal(&self, word: usize, mask: u64) -> u64 {
         let ctx = &*self.ctx;
-        check_signal_args(ctx, word, mask);
+        check_mask_args(ctx, word, mask);
         // Entering a wait is a synchronization point: flush our own
         // buffered ops (they may include the traffic a peer is waiting on
         // before it signals us back).
@@ -512,6 +488,14 @@ mod tests {
         launch(RuntimeConfig::smp(1).with_segment_size(1 << 14), |u| {
             let p = u.new_::<u64>(0);
             u.put_signal(1u64, p, 0, 0).wait();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "zero mask")]
+    fn zero_mask_is_rejected() {
+        launch(RuntimeConfig::smp(1).with_segment_size(1 << 14), |u| {
+            u.wait_signal(0, 0);
         });
     }
 }

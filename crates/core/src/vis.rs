@@ -9,11 +9,7 @@
 //! scatters individual elements to arbitrary global pointers under a single
 //! completion.
 
-use std::sync::Arc;
-
-use std::sync::Mutex;
-
-use crate::completion::{operation_cx, Completions, Notifier};
+use crate::completion::{no_rpcs, operation_cx, post_rpcs, take_rpcs, Completions, Notifier, Wire};
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
 use crate::runtime::Upcr;
@@ -83,8 +79,7 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rputs);
         let top = ctx.trace_op_init(OpKind::Put, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
+        let rpcs = take_rpcs(&mut cx);
         let write_all = move |w: &gasnex::World, data: &[T]| {
             let seg = w.segment(dst.rank());
             for b in 0..shape.blocks {
@@ -97,31 +92,14 @@ impl Upcr {
         };
         if ctx.addressable(dst.rank()) {
             write_all(&ctx.world, src);
-            for f in rpcs {
-                ctx.world.send_am(dst.rank(), ctx.me, move |_| f());
-            }
+            post_rpcs(&ctx.world, dst.rank(), ctx.me, rpcs);
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
-            let data = src.to_vec();
-            let me = ctx.me;
-            let dst_rank = dst.rank();
-            let msg = ctx.world.net_inject(Box::new(move |w| {
+            let (data, rank, me) = (src.to_vec(), dst.rank(), ctx.me);
+            ctx.inject_op(cx, top, rank, Wire::Plain, move |w| {
                 write_all(w, &data);
-                for f in rpcs {
-                    w.send_am(dst_rank, me, move |_| f());
-                }
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+                post_rpcs(w, rank, me, rpcs);
+            })
         }
     }
 
@@ -142,12 +120,7 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rgets);
         let top = ctx.trace_op_init(OpKind::Get, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
-        assert!(
-            rpcs.is_empty(),
-            "remote_cx completions are not supported on gets"
-        );
+        no_rpcs(&mut cx, "gets");
         let read_all = move |w: &gasnex::World| -> Vec<T> {
             let seg = w.segment(src.rank());
             let mut out = Vec::with_capacity(shape.total());
@@ -165,17 +138,7 @@ impl Upcr {
             let data = read_all(&ctx.world);
             cx.notify(&Notifier::sync(ctx, top, data))
         } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
-            let msg = ctx.world.net_inject(Box::new(move |w| {
-                *slot2.lock().unwrap() = Some(read_all(w));
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            ctx.inject_op(cx, top, src.rank(), Wire::Plain, read_all)
         }
     }
 
@@ -198,12 +161,7 @@ impl Upcr {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rputs);
         let top = ctx.trace_op_init(OpKind::Put, true);
-        let mut rpcs = Vec::new();
-        cx.take_remote(&mut rpcs);
-        assert!(
-            rpcs.is_empty(),
-            "remote_cx is not supported on fragmented puts (no single target)"
-        );
+        no_rpcs(&mut cx, "fragmented puts (no single target)");
         // Local fragments transfer immediately; remote fragments are
         // grouped into one network operation.
         let mut remote: Vec<(gasnex::Rank, usize, u64)> = Vec::new();
@@ -216,26 +174,14 @@ impl Upcr {
                 remote.push((d.rank(), d.offset(), v.to_bits()));
             }
         }
-        if remote.is_empty() {
-            cx.notify(&Notifier::sync(ctx, top, ()))
-        } else {
-            bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
-            let size = T::SIZE;
-            let msg = ctx.world.net_inject(Box::new(move |w| {
+        match remote.first() {
+            None => cx.notify(&Notifier::sync(ctx, top, ())),
+            // One unrouted message for every target, so the first stands in.
+            Some(&(first, _, _)) => ctx.inject_op(cx, top, first, Wire::Plain, move |w| {
                 for (rank, off, bits) in remote {
-                    w.segment(rank).write_scalar(off, size, bits);
+                    w.segment(rank).write_scalar(off, T::SIZE, bits);
                 }
-                core2.signal();
-            }));
-            ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            }),
         }
     }
 }

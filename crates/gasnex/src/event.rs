@@ -1,14 +1,11 @@
-//! Completion events, modelled on `gex_Event_t`.
+//! Completion events, modelled on the core of `gex_Event_t`.
 //!
-//! An operation that completes synchronously during initiation returns
-//! [`Event::Complete`] (the analogue of `GEX_EVENT_INVALID` /
-//! `GASNET_INVALID_HANDLE` — "already done"). An asynchronous operation
-//! returns [`Event::Pending`] holding a shared [`EventCore`] that the
-//! network (or the target rank) signals when the operation finishes.
-//!
-//! Detecting the `Complete` case cheaply at initiation is the substrate
-//! hook the paper's eager-notification work builds on. For the pending
-//! case, the core supports **signal-driven completion**: the initiator may
+//! An [`EventCore`] is the shared completion flag of one in-flight
+//! operation: the network (or the target rank) signals it when the
+//! operation finishes. Whether an operation completed synchronously at
+//! initiation, the case eager notification exploits, is decided by the
+//! runtime before any event exists, so only asynchronous operations carry
+//! one. The core supports **signal-driven completion**: the initiator may
 //! register a one-shot waiter with [`EventCore::on_signal`], and whichever
 //! thread signals the event runs the waiter — typically routing a
 //! completion token into the initiating rank's ready queue — so nobody has
@@ -49,10 +46,7 @@ impl std::fmt::Debug for EventCore {
 impl EventCore {
     /// A fresh, unsignalled event.
     pub fn new() -> Arc<Self> {
-        Arc::new(EventCore {
-            done: AtomicBool::new(false),
-            waiters: Mutex::new(Vec::new()),
-        })
+        Arc::new(Self::default())
     }
 
     /// Mark the operation complete and run the registered waiters, if any,
@@ -140,102 +134,20 @@ impl EventCore {
     }
 }
 
-/// A completion handle for one communication operation.
-#[derive(Clone, Debug)]
-pub enum Event {
-    /// The operation completed synchronously during initiation.
-    Complete,
-    /// The operation is in flight; the core will be signalled on completion.
-    Pending(Arc<EventCore>),
-}
-
-impl Event {
-    /// Create a pending event, returning the handle and the core to signal.
-    pub fn pending() -> (Event, Arc<EventCore>) {
-        let core = EventCore::new();
-        (Event::Pending(Arc::clone(&core)), core)
-    }
-
-    /// Non-blocking completion test (like `gex_Event_Test`).
-    #[inline]
-    pub fn test(&self) -> bool {
-        match self {
-            Event::Complete => true,
-            Event::Pending(core) => core.is_done(),
-        }
-    }
-
-    /// Whether this event was complete at initiation — the property that
-    /// makes eager notification possible.
-    #[inline]
-    pub fn completed_synchronously(&self) -> bool {
-        matches!(self, Event::Complete)
-    }
-
-    /// Spin until complete, invoking `poll` between tests (like
-    /// `gex_Event_Wait` with progress).
-    pub fn wait(&self, mut poll: impl FnMut()) {
-        let mut spins = 0u32;
-        while !self.test() {
-            poll();
-            spins += 1;
-            if spins > 4 {
-                // Oversubscribed ranks must let the signaller run.
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn complete_event_tests_true() {
-        let e = Event::Complete;
-        assert!(e.test());
-        assert!(e.completed_synchronously());
-        let mut polls = 0;
-        e.wait(|| polls += 1);
-        assert_eq!(polls, 0);
-    }
-
-    #[test]
-    fn pending_event_lifecycle() {
-        let (e, core) = Event::pending();
-        assert!(!e.test());
-        assert!(!e.completed_synchronously());
+    fn signal_is_idempotent_and_visible_across_threads() {
+        let core = EventCore::new();
+        assert!(!core.is_done());
+        let c2 = Arc::clone(&core);
+        std::thread::spawn(move || c2.signal()).join().unwrap();
+        assert!(core.is_done(), "a signal on another thread is observed");
         core.signal();
-        assert!(e.test());
-        // Idempotent.
-        core.signal();
-        assert!(e.test());
-    }
-
-    #[test]
-    fn wait_polls_until_signalled() {
-        let (e, core) = Event::pending();
-        let mut polls = 0;
-        e.wait(|| {
-            polls += 1;
-            if polls == 3 {
-                core.signal();
-            }
-        });
-        assert_eq!(polls, 3);
-    }
-
-    #[test]
-    fn signal_is_visible_across_threads() {
-        let (e, core) = Event::pending();
-        let t = std::thread::spawn(move || core.signal());
-        e.wait(std::thread::yield_now);
-        t.join().unwrap();
-        assert!(e.test());
+        assert!(core.is_done(), "a second signal is a no-op");
     }
 
     #[test]

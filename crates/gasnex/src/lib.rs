@@ -12,9 +12,10 @@
 //!   flavors; ranks grouped into simulated nodes, where same-node
 //!   access is direct (process-shared memory) and cross-node operations go
 //!   through the network.
-//! * **Events** ([`event::Event`]) — per-operation completion handles that
-//!   distinguish *synchronous* completion at initiation from asynchronous
-//!   completion, the hook eager notification builds on.
+//! * **Events** ([`event::EventCore`]) — the completion flag of one
+//!   in-flight operation, with signal-driven waiters. Operations that
+//!   complete synchronously at initiation, the case eager notification
+//!   builds on, never allocate one.
 //! * **Active messages** ([`am`]) — handlers executed on the target rank
 //!   during its progress calls, used for RPC and remote completions.
 //! * **Ready queues** ([`mailbox`]) — per-rank multi-producer queues; the
@@ -65,7 +66,7 @@ pub use amo::AmoOp;
 pub use clock::LamportClocks;
 pub use conduit::{udp::UdpConduit, Conduit, ConduitCore, InFlight};
 pub use config::{ClockMode, ConduitKind, FaultPlan, GasnexConfig, NetConfig, Transport};
-pub use event::{Event, EventCore};
+pub use event::EventCore;
 pub use mailbox::{MpQueue, ReadyQueue};
 pub use net::{FieldClass, NetEventKind, NetStats, NetTraceEvent, SimNetwork};
 pub use notify::{NotifyTable, NotifyWordSnapshot};

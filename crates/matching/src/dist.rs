@@ -12,7 +12,7 @@
 //! paper's eager notifications accelerate (§IV-C).
 //!
 //! With the strict edge order of
-//! [`edge_beats`](crate::sequential::edge_beats), the result equals the
+//! [`crate::sequential::edge_beats`], the result equals the
 //! sequential greedy matching exactly.
 
 use std::sync::atomic::Ordering;

@@ -1,6 +1,6 @@
 //! Message-driven distributed matching — the "MPI-style" baseline.
 //!
-//! The ExaGraph application began as an MPI code (Ghosh et al. [15] in the
+//! The ExaGraph application began as an MPI code (Ghosh et al. \[15\] in the
 //! paper) whose UPC++ RMA port the paper measures; the paper notes the two
 //! perform comparably. This module implements the message-passing flavor:
 //! instead of *reading* neighbor state with one-sided operations, ranks
