@@ -48,11 +48,13 @@
 #                    progress-thread smoke (simtest --progress-thread +
 #                    udprun --progress-thread). Timeout-bounded: a lost
 #                    continuation must fail CI, not hang it.
-#   ./ci.sh perf     wall-clock benchmark build + self-tests: perfbench/ is
-#                    its own Cargo workspace, so the other jobs never build
-#                    it; this one compiles it against the current runtime
-#                    API and runs its self-tests (seed determinism, metric
-#                    names vs BENCHMARK.json, smoke runs of every workload).
+#   ./ci.sh perf     wall-clock benchmark lint + build + self-tests:
+#                    perfbench/ is its own Cargo workspace, so the other
+#                    jobs never format-check, lint or build it; this one
+#                    runs fmt --check and clippy -D warnings on it, compiles
+#                    it against the current runtime API and runs its
+#                    self-tests (seed determinism, metric names vs
+#                    BENCHMARK.json, smoke runs of every workload).
 #   ./ci.sh watchdog introspection gate: deliberately provoke a partition
 #                    stall (simtest --watchdog-demo) and require the stall
 #                    watchdog's wait-graph diagnosis to name the blocked
@@ -269,10 +271,16 @@ case "$job" in
     echo "Watchdog gate green."
     ;;
   perf)
+    echo "==> cargo fmt --manifest-path perfbench/Cargo.toml --all -- --check"
+    cargo fmt --manifest-path perfbench/Cargo.toml --all -- --check
+
+    echo "==> cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings"
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
     echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
     timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-    echo "Perfbench self-tests green."
+    echo "Perfbench lint and self-tests green."
     ;;
   *)
     echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, watchdog, or perf)" >&2

@@ -16,12 +16,11 @@
 //! own `RankCtx` holds clones of its slot; the progress thread walks the
 //! slots of its node.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gasnex::World;
+use gasnex::{MpQueue, World};
 
 use crate::stats::Stats;
 use crate::trace::TraceOp;
@@ -37,10 +36,12 @@ pub(crate) type Callback = Box<dyn FnOnce() + Send>;
 /// thread for asynchronous ones); drained by the owning rank's progress
 /// quantum or by the progress thread — exclusively, via the `draining`
 /// flag, so a callback never runs twice and never runs reentrantly inside
-/// another callback.
+/// another callback. The queue is an [`MpQueue`], so `len`/`is_empty` never
+/// lock, and a drain of an empty queue returns before it touches the lock
+/// or the `draining` flag.
 #[derive(Default)]
 pub(crate) struct CallbackQueue {
-    q: Mutex<VecDeque<(Callback, TraceOp)>>,
+    q: MpQueue<(Callback, TraceOp)>,
     draining: AtomicBool,
 }
 
@@ -49,37 +50,32 @@ impl CallbackQueue {
     /// enqueue time — the callback was *deferred into* that drain's FIFO
     /// rather than opening a new one (the caller counts it).
     pub fn push(&self, cb: Callback, top: TraceOp) -> bool {
-        self.q.lock().unwrap().push_back((cb, top));
+        self.q.push((cb, top));
         self.draining.load(Ordering::Acquire)
     }
 
     pub fn len(&self) -> usize {
-        self.q.lock().unwrap().len()
+        self.q.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.q.lock().unwrap().is_empty()
+        self.q.is_empty()
     }
 
     /// Become the exclusive drainer and run callbacks until the queue is
     /// empty — including ones enqueued *during* the drain, so a callback
     /// chain settles within one quantum. Returns the number run; returns 0
-    /// immediately when another thread is already draining (their drain
-    /// will pick up everything enqueued so far).
+    /// immediately when the queue is empty or another thread is already
+    /// draining (their drain will pick up everything enqueued so far).
     ///
     /// The queue lock is never held while a callback runs, so callbacks
     /// may freely enqueue more callbacks.
     pub fn drain(&self, mut run: impl FnMut(Callback, TraceOp)) -> usize {
-        if self.draining.swap(true, Ordering::AcqRel) {
+        if self.is_empty() || self.draining.swap(true, Ordering::AcqRel) {
             return 0;
         }
         let mut n = 0;
-        loop {
-            // Pop in its own statement so the queue guard drops before the
-            // callback runs (a `while let` scrutinee guard would live for
-            // the whole body and deadlock nested enqueues).
-            let next = self.q.lock().unwrap().pop_front();
-            let Some((cb, top)) = next else { break };
+        while let Some((cb, top)) = self.q.pop() {
             run(cb, top);
             n += 1;
         }
@@ -145,7 +141,8 @@ impl ProgressWaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU8, AtomicUsize};
+    use std::sync::mpsc;
 
     #[test]
     fn drain_runs_fifo_including_nested_enqueues() {
@@ -194,6 +191,78 @@ mod tests {
         let total: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
         assert_eq!(total, 1000);
         assert_eq!(hits.load(Ordering::SeqCst), 1000);
+    }
+
+    #[test]
+    fn idle_reads_take_no_lock() {
+        // A thread mid-enqueue holds the queue lock; an idle quantum's
+        // length checks and empty drain must not wait for it. Bounded, so
+        // a locking read fails the test instead of hanging it.
+        let q = &CallbackQueue::default();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let got = q.q.while_locked(|| {
+                s.spawn(move || {
+                    let _ = tx.send((q.len(), q.is_empty(), q.drain(|cb, _| cb())));
+                });
+                rx.recv_timeout(Duration::from_secs(5))
+            });
+            assert_eq!(
+                got,
+                Ok((0, true, 0)),
+                "len, is_empty and drain on an empty queue must not lock"
+            );
+        });
+        assert!(!q.draining.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn racing_drainers_run_concurrent_pushes_exactly_once() {
+        // Producers enqueue while two drainers (a rank's quantum and the
+        // progress thread) race through the empty-queue early-out and the
+        // `draining` flag: every callback runs exactly once.
+        const K: usize = 3;
+        const N: usize = 2000;
+        let q = CallbackQueue::default();
+        let runs: Arc<Vec<AtomicU8>> = Arc::new((0..K * N).map(|_| AtomicU8::new(0)).collect());
+        let done = AtomicUsize::new(0);
+        let drained = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..K {
+                let (q, done, runs) = (&q, &done, &runs);
+                s.spawn(move || {
+                    for i in 0..N {
+                        let runs = Arc::clone(runs);
+                        q.push(
+                            Box::new(move || {
+                                runs[t * N + i].fetch_add(1, Ordering::Relaxed);
+                            }),
+                            TraceOp::NONE,
+                        );
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            for _ in 0..2 {
+                let (q, done, drained) = (&q, &done, &drained);
+                s.spawn(move || loop {
+                    // Sampled before draining: once every producer has
+                    // finished, a drainer leaves only after it sees the
+                    // queue empty.
+                    let finished = done.load(Ordering::Acquire) == K;
+                    drained.fetch_add(q.drain(|cb, _| cb()), Ordering::Relaxed);
+                    if finished && q.is_empty() {
+                        break;
+                    }
+                    std::thread::yield_now();
+                });
+            }
+        });
+        assert_eq!(drained.load(Ordering::Relaxed), K * N);
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "callback {i} ran once");
+        }
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

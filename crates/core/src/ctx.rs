@@ -76,10 +76,11 @@ pub(crate) struct RankCtx {
     /// Completed continuation callbacks awaiting execution on behalf of
     /// this rank.
     pub callbacks: Arc<CallbackQueue>,
-    /// Whether the conduit clock is wall time. Idle-efficiency time
+    /// Whether the conduit clock is wall time. `wait_signal`'s idle-time
     /// accounting (`parked_ns`/`spinning_ns`/`progress_ns`) reads `Instant`
     /// only when this is set; virtual-clock runs keep the counters at zero
-    /// so their exports stay byte-replayable.
+    /// so their exports stay byte-replayable. The progress quantum itself
+    /// never reads a clock.
     pub wall_clock: bool,
     /// Stall-watchdog timeout for parked waits
     /// ([`crate::RuntimeConfig::watchdog_ms`]).
@@ -305,11 +306,15 @@ impl RankCtx {
         self.world.route_signal(ev, self.me, token);
     }
 
+    /// Notifications pending on this rank: registered event waiters,
+    /// queued deferred entries, and completed callbacks not yet run.
+    fn pending_level(&self) -> u64 {
+        (self.event_waiters.borrow().len() + self.deferred.borrow().len() + self.callbacks.len())
+            as u64
+    }
+
     fn note_pending_highwater(&self) {
-        let pending = (self.event_waiters.borrow().len()
-            + self.deferred.borrow().len()
-            + self.callbacks.len()) as u64;
-        raise(&self.stats.pending_highwater, pending);
+        raise(&self.stats.pending_highwater, self.pending_level());
     }
 
     /// Enqueue a completed continuation for delivery by this rank's next
@@ -329,8 +334,7 @@ impl RankCtx {
     /// it closes the op's trace span, feeds the latency histogram, and
     /// counts in `callbacks_run`.
     fn drain_callbacks(&self) -> usize {
-        let q = Arc::clone(&self.callbacks);
-        q.drain(|cb, top| {
+        self.callbacks.drain(|cb, top| {
             bump(&self.stats.callbacks_run);
             if self.trace_on.get() && !top.is_none() {
                 let ts = self.trace_now_ns();
@@ -358,6 +362,12 @@ impl RankCtx {
     /// Returns the number of work items processed. Re-entrant calls (from
     /// callbacks running inside progress) return 0 immediately, mirroring
     /// UPC++'s non-re-entrant progress engine.
+    ///
+    /// A quantum with nothing to do bumps `progress_calls` and otherwise
+    /// only loads: every queue it polls answers "empty" from an atomic
+    /// length without locking, the simulated wire is skipped while nothing
+    /// is pending on it, and no clock is read (idle time is accounted by
+    /// `wait_signal`, the one loop that waits without a future).
     pub fn progress_quantum(&self) -> usize {
         if self.in_progress.get() {
             return 0;
@@ -367,10 +377,6 @@ impl RankCtx {
         }
         self.in_progress.set(true);
         bump(&self.stats.progress_calls);
-        // Idle-efficiency accounting: time spent inside the quantum is
-        // "progress time". Wall clock only — virtual-clock runs must stay
-        // deterministic, so they never read `Instant`.
-        let quantum_start = self.wall_clock.then(std::time::Instant::now);
         let mut n = self.world.poll_rank(self.me, 64);
 
         // Ready-queue drain: bounded to the tokens present now (callbacks
@@ -393,7 +399,9 @@ impl RankCtx {
         // Every waiter still pending is one event the poll-scan engine
         // would have re-tested (and re-queued) this quantum.
         let residual = self.event_waiters.borrow().len() as u64;
-        add(&self.stats.polls_elided, residual);
+        if residual > 0 {
+            add(&self.stats.polls_elided, residual);
+        }
 
         // Deliver rank-local deferred notifications. Process at most the
         // entries present at entry (callbacks may enqueue more, handled next
@@ -449,9 +457,6 @@ impl RankCtx {
                 .borrow_mut()
                 .maybe_sample(now, || crate::metrics::collect_values(self));
         }
-        if let Some(start) = quantum_start {
-            add(&self.stats.progress_ns, start.elapsed().as_nanos() as u64);
-        }
         self.in_progress.set(false);
         n
     }
@@ -460,12 +465,9 @@ impl RankCtx {
     /// level (used after a stats reset: a gauge is a level, not a count,
     /// so it restarts from "now", not from zero).
     pub fn reprime_pending_highwater(&self) {
-        let pending = (self.event_waiters.borrow().len()
-            + self.deferred.borrow().len()
-            + self.callbacks.len()) as u64;
         self.stats
             .pending_highwater
-            .store(pending, std::sync::atomic::Ordering::Relaxed);
+            .store(self.pending_level(), std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Whether this rank has locally visible outstanding work.

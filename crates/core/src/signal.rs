@@ -33,7 +33,9 @@
 //! operation this rank issued before the signal (point-to-point ordering
 //! under uniform latency, acks/retries otherwise).
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::Instant;
 
 use gasnex::{AmoOp, EventCore, Rank, World};
 
@@ -175,7 +177,9 @@ impl Upcr {
     /// stalls). Refused reservations, and every wait under
     /// [`gasnex::ClockMode::Virtual`] (parking would stall the
     /// single-threaded time-warp), poll the progress engine instead and
-    /// count each poll in `polls_while_parked`.
+    /// count each poll in `polls_while_parked`. Under the wall clock the
+    /// wait's time from its first miss is split into `parked_ns`,
+    /// `spinning_ns` and `progress_ns` (the quanta it drives).
     ///
     /// # Panics
     ///
@@ -195,11 +199,16 @@ impl Upcr {
         let me = ctx.me;
         let wall = ctx.wall_clock;
         let watchdog = std::time::Duration::from_millis(ctx.watchdog_ms);
+        let mut laps = Laps::default();
         loop {
             let got = nt.try_consume(me, word, mask);
             if got != 0 {
+                laps.lap(&ctx.stats.spinning_ns);
                 ctx.trace_signal(word, got);
                 return got;
+            }
+            if wall {
+                laps.start();
             }
             if ctx.world.is_aborted() {
                 panic!(
@@ -212,10 +221,9 @@ impl Upcr {
                 // A badge that raced in between try_consume and here is
                 // caught under the word lock: register signals immediately.
                 nt.register_waiter(me, word, mask, Arc::clone(&ev));
-                let parked_at = std::time::Instant::now();
+                laps.lap(&ctx.stats.spinning_ns);
                 let fired = ev.park(watchdog);
-                let parked = parked_at.elapsed().as_nanos() as u64;
-                add(&ctx.stats.parked_ns, parked);
+                laps.lap(&ctx.stats.parked_ns);
                 if !fired {
                     // The watchdog fired: walk the wait graph and the
                     // flight recorder *while this waiter is still
@@ -250,28 +258,35 @@ impl Upcr {
                          (progress is not reentrant) and no park slot is available\n{diagnosis}"
                     );
                 }
+                // Refused reservation (or virtual clock): this rank burns
+                // CPU re-testing, driving progress between tests.
                 bump(&ctx.stats.polls_while_parked);
-                if wall {
-                    // Refused reservation: this rank burns CPU re-testing.
-                    // Whatever part of the iteration was *not* inside the
-                    // progress quantum is spinning time.
-                    let t0 = std::time::Instant::now();
-                    let p0 = ctx
-                        .stats
-                        .progress_ns
-                        .load(std::sync::atomic::Ordering::Relaxed);
-                    ctx.progress_quantum();
-                    let spent = t0.elapsed().as_nanos() as u64;
-                    let in_progress = ctx
-                        .stats
-                        .progress_ns
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                        .saturating_sub(p0);
-                    add(&ctx.stats.spinning_ns, spent.saturating_sub(in_progress));
-                } else {
-                    ctx.progress_quantum();
-                }
+                laps.lap(&ctx.stats.spinning_ns);
+                ctx.progress_quantum();
+                laps.lap(&ctx.stats.progress_ns);
             }
+        }
+    }
+}
+
+/// Idle-time accounting for one `wait_signal` (wall clock only): from its
+/// first miss on, each lap charges the time since the previous one to
+/// `parked_ns`, `spinning_ns` or `progress_ns`, so the three counters
+/// partition the wait. Inert until started, so a virtual-clock wait, or a
+/// wait whose badge is already set, reads no clock.
+#[derive(Default)]
+struct Laps(Option<Instant>);
+
+impl Laps {
+    fn start(&mut self) {
+        self.0.get_or_insert_with(Instant::now);
+    }
+
+    fn lap(&mut self, into: &AtomicU64) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            add(into, now.duration_since(*last).as_nanos() as u64);
+            *last = now;
         }
     }
 }
@@ -279,7 +294,8 @@ impl Upcr {
 #[cfg(test)]
 mod tests {
     use crate::runtime::{launch, RuntimeConfig};
-    use gasnex::AmoOp;
+    use gasnex::{AmoOp, Rank};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn local_put_signal_is_observed_before_wait() {
@@ -376,6 +392,66 @@ mod tests {
             out
         });
         assert_eq!(results[0], 3, "each amo_signal added exactly once");
+    }
+
+    #[test]
+    fn refused_park_spin_partitions_the_wait() {
+        // A lone rank can never reserve a park slot (at most `ranks - 1`
+        // park), so it spins until a helper thread posts the badge. The
+        // loop's own tests count as spinning, its quanta as progress, and
+        // the two together fit inside the wait's wall time.
+        let (s, wait_ns) = launch(RuntimeConfig::smp(1).with_segment_size(1 << 14), |u| {
+            u.reset_stats();
+            let world = &**u.world();
+            std::thread::scope(|sc| {
+                sc.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(5));
+                    world.notify().post(Rank(0), 0, 0b1);
+                });
+                let t = Instant::now();
+                assert_eq!(u.wait_signal(0, 0b1), 0b1);
+                let wait_ns = t.elapsed().as_nanos() as u64;
+                (u.stats(), wait_ns)
+            })
+        })
+        .remove(0);
+        assert!(s.polls_while_parked > 0, "the rank spun");
+        assert_eq!(s.parked_ns, 0, "no park slot for a lone rank");
+        assert!(s.progress_ns > 0, "the quanta it drove are progress time");
+        assert!(
+            s.spinning_ns > 0,
+            "the loop's own re-tests are spinning time"
+        );
+        assert!(
+            s.progress_ns + s.spinning_ns <= wait_ns,
+            "progress {} + spinning {} exceeds the wait's {wait_ns} ns",
+            s.progress_ns,
+            s.spinning_ns
+        );
+    }
+
+    #[test]
+    fn future_waits_account_no_idle_time() {
+        // Only `wait_signal` accounts idle time: a rank that spins in
+        // `Future::wait` on off-node ops runs quanta but reads no clock.
+        let stats = launch(RuntimeConfig::udp(2, 1).with_segment_size(1 << 14), |u| {
+            let mine = u.new_::<u64>(0);
+            let peer = u.broadcast(mine, 1);
+            u.barrier();
+            u.reset_stats();
+            if u.rank_me() == 0 {
+                for i in 0..8 {
+                    u.rput(i, peer).wait();
+                }
+            }
+            let s = u.stats();
+            u.barrier();
+            s
+        });
+        assert!(stats[0].progress_calls > 0, "the waits drove progress");
+        for s in &stats {
+            assert_eq!((s.progress_ns, s.spinning_ns, s.parked_ns), (0, 0, 0));
+        }
     }
 
     #[test]

@@ -78,16 +78,19 @@ gasnex::declare_stats! {
         /// (refused reservation or virtual clock). A parked rank contributes
         /// zero — the idle-CPU guarantee the bench gate checks.
         polls_while_parked: counter,
-        /// Wall-clock nanoseconds this rank spent parked on a condvar (zero
-        /// CPU). Measured only under `ClockMode::Wall`; deterministic
-        /// virtual-clock runs report zero so their exports stay replayable.
+        /// Wall-clock nanoseconds this rank spent parked on a condvar in
+        /// `wait_signal` (zero CPU). `parked_ns`, `spinning_ns` and
+        /// `progress_ns` partition `wait_signal` time from its first miss;
+        /// measured only under `ClockMode::Wall`, so deterministic
+        /// virtual-clock runs report zero and their exports stay replayable.
         parked_ns: counter,
-        /// Wall-clock nanoseconds this rank spent in wait loops *between*
-        /// progress quanta — burning CPU on re-tests rather than useful
+        /// Wall-clock nanoseconds `wait_signal` spent *between* the progress
+        /// quanta it drives — burning CPU on re-tests rather than useful
         /// progress. Wall-clock only, like `parked_ns`.
         spinning_ns: counter,
-        /// Wall-clock nanoseconds spent inside progress quanta (conduit polls,
-        /// deferred drains, coalescer flushes). Wall-clock only.
+        /// Wall-clock nanoseconds spent inside the progress quanta that
+        /// `wait_signal` drives (conduit polls, deferred drains, coalescer
+        /// flushes). Quanta driven elsewhere are not timed. Wall-clock only.
         progress_ns: counter,
         /// Happens-before edges assembled by the causal tracer on this rank
         /// (rank 0 assembles; other ranks report zero).
@@ -138,10 +141,13 @@ pub(crate) fn add(c: &AtomicU64, v: u64) {
     c.fetch_add(v, Ordering::Relaxed);
 }
 
-/// Raise a gauge to at least `v` (high-water marks).
+/// Raise a gauge to at least `v` (high-water marks). A level that sets no
+/// new peak costs a plain load, not a read-modify-write.
 #[inline]
 pub(crate) fn raise(c: &AtomicU64, v: u64) {
-    c.fetch_max(v, Ordering::Relaxed);
+    if c.load(Ordering::Relaxed) < v {
+        c.fetch_max(v, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

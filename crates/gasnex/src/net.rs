@@ -568,7 +568,16 @@ impl Conduit for SimNetwork {
     /// of work items observed: deliveries performed (including suppressed
     /// duplicates and retransmission timers fired), or the poll gate's busy
     /// hint when another rank holds the queue.
+    ///
+    /// With nothing pending the poll returns 0 before the gate, so idle
+    /// ranks never touch the shared queue lock. That is exact, not a
+    /// heuristic: `pending` rises before every heap push and falls only
+    /// after the entry has left the heap, so `pending() == 0` means the
+    /// heap is empty.
     fn poll(&self, world: &World) -> usize {
+        if self.core.pending() == 0 {
+            return 0;
+        }
         let mut q = match self.core.enter_poll(&self.queue) {
             Ok(q) => q,
             Err(busy) => return busy,
@@ -870,9 +879,15 @@ mod tests {
             "after the holder releases, delivery proceeds"
         );
         assert_eq!(w.net().pending(), 0);
-        // With an empty queue, a lost race reports idle (nothing due).
+        // With nothing pending, a poll made while the queue is held reports
+        // idle without entering the gate: no yield, no contended poll.
         sim(&w).while_queue_locked(|| {
             assert_eq!(w.net().poll(&w), 0);
+            assert_eq!(
+                w.net().stats().contended_polls,
+                1,
+                "an idle poll must not touch the queue lock"
+            );
         });
     }
 
