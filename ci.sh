@@ -15,8 +15,11 @@
 #                    deterministic BENCH_*.json documents and compare them
 #                    against ci/baseline/ with the committed tolerance
 #                    bands; also proves the gate trips on the broken
-#                    fixture. Set BENCH_OUT to keep the generated files
-#                    (CI uploads them as artifacts).
+#                    fixture for its planted reason (a nonzero exit AND
+#                    the v2021_3_6_eager.put_deferred_count failure line;
+#                    its printed FAIL lines are labelled expected). Set
+#                    BENCH_OUT to keep the generated files (CI uploads
+#                    them as artifacts).
 #   ./ci.sh conduit  conduit-swap gate: the trait-extraction golden suite
 #                    (SimNetwork behind the Conduit trait must reproduce
 #                    pre-refactor digests, counters, and wire traces) plus
@@ -128,10 +131,24 @@ case "$job" in
     cargo run -p bench --bin regress --release -q -- \
       --baseline ci/baseline --current "$out"
 
-    echo "==> regress must fail on the intentionally-broken fixture"
-    if cargo run -p bench --bin regress --release -q -- \
-        --baseline crates/bench/tests/fixtures/broken --current "$out"; then
+    # The broken fixture plants one drift: v2021_3_6_eager.put_deferred_count
+    # at 948 instead of 48. The proof needs both a nonzero exit and that
+    # metric's failure line, so a missing fixture directory or a parse
+    # error cannot pass it.
+    echo "==> regress must fail on the intentionally-broken fixture (FAIL lines below are expected)"
+    if broken=$(cargo run -p bench --bin regress --release -q -- \
+        --baseline crates/bench/tests/fixtures/broken --current "$out" 2>&1); then
+      status=0
+    else
+      status=$?
+    fi
+    printf '%s\n' "$broken" | sed 's/^/    expected: /'
+    if [ "$status" -eq 0 ]; then
       echo "regress failed to flag the broken fixture" >&2
+      exit 1
+    fi
+    if ! printf '%s\n' "$broken" | grep -q '^  v2021_3_6_eager\.put_deferred_count: baseline 948 '; then
+      echo "regress exited $status on the broken fixture, but not for its planted put_deferred_count drift" >&2
       exit 1
     fi
 

@@ -29,11 +29,12 @@
 //! progress queue, as all notifications were through release 2021.3.0.
 
 use std::any::TypeId;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use gasnex::net::NetAction;
-use gasnex::{EventCore, Rank, World};
+use gasnex::{EventCore, Rank, TokenRoute, World};
 
 use crate::ctx::{Deferred, RankCtx};
 use crate::future::cell::{new_cell, new_cell_with_value};
@@ -111,10 +112,12 @@ pub(crate) enum Disp<V: CxValue> {
 
 const POISONED: &str = "a thread panicked while holding an op's completion value";
 
-/// The completion object of one off-node operation: the event its
-/// delivery action signals and the value stored just before the signal.
-/// One allocation per op, whatever `V` is.
+/// The completion object of one off-node operation: the value its
+/// delivery action stores, then the token route it fires and the event it
+/// signals. Deferred notifications wait on the route, continuation
+/// callbacks on the event. One allocation per op, whatever `V` is.
 pub(crate) struct RemoteDone<V> {
+    route: TokenRoute,
     ev: EventCore,
     value: Mutex<Option<V>>,
 }
@@ -144,7 +147,7 @@ impl RankCtx {
     /// `movement` toward `target` over `wire`, and wire `cx`'s
     /// notifications to its delivery. The delivery action runs
     /// `movement` on the target side, stores the value it produces, and
-    /// then signals the op's event.
+    /// then fires the op's token route and signals its event.
     pub(crate) fn inject_op<V: CxValue, C: Completions<V>>(
         &self,
         cx: C,
@@ -155,6 +158,7 @@ impl RankCtx {
     ) -> C::Out {
         bump(&self.stats.net_injected);
         let done = Arc::new(RemoteDone {
+            route: TokenRoute::new(self.me),
             ev: EventCore::default(),
             value: Mutex::new(None),
         });
@@ -162,6 +166,7 @@ impl RankCtx {
         let action: NetAction = Box::new(move |w| {
             let v = movement(w);
             *d.value.lock().expect(POISONED) = Some(v);
+            d.route.fire(w);
             d.ev.signal();
         });
         match wire {
@@ -177,6 +182,7 @@ impl RankCtx {
             ctx: self,
             op: Disp::Async(done),
             top,
+            waiter: Cell::new(None),
         })
     }
 }
@@ -194,6 +200,10 @@ pub struct Notifier<'a, V: CxValue> {
     /// ([`TraceOp::NONE`] when tracing is off — recording helpers ignore
     /// it, so untraced operations carry no cost beyond the copy).
     top: TraceOp,
+    /// The event-waiter slot of this op's latest deferred request (async
+    /// ops only): the first arms the op's token route, later ones chain
+    /// behind it.
+    waiter: Cell<Option<usize>>,
 }
 
 impl<'a, V: CxValue> Notifier<'a, V> {
@@ -202,6 +212,7 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             ctx,
             op: Disp::Sync(v),
             top,
+            waiter: Cell::new(None),
         }
     }
 
@@ -239,8 +250,9 @@ impl<'a, V: CxValue> Notifier<'a, V> {
 
     /// The defer path: run `f` on the op's value from a later progress
     /// quantum — a `Deferred::Now` entry for a synchronous op, an event
-    /// waiter for an in-flight one (the completion token wakes this exact
-    /// notification; the progress engine never re-tests the event).
+    /// waiter for an in-flight one (the completion token its route
+    /// deposits wakes this exact notification; the progress engine never
+    /// re-tests the op).
     fn defer(&self, f: impl FnOnce(V) + 'static) {
         let top = self.top;
         let deliver = move |v| {
@@ -255,8 +267,9 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             }
             Disp::Async(done) => {
                 let d = Arc::clone(done);
-                self.ctx
-                    .register_on_event(&done.ev, Box::new(move || deliver(d.value())));
+                let run = Box::new(move || deliver(d.value()));
+                let slot = self.ctx.await_route(&done.route, self.waiter.get(), run);
+                self.waiter.set(Some(slot));
             }
         }
     }

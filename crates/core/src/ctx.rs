@@ -3,7 +3,8 @@
 //! Every SPMD rank thread owns a [`RankCtx`]: its gasnex identity, the
 //! configured library version, the deferred-notification queue (the paper's
 //! "internal queue to be readied later by the progress engine"), the
-//! RPC-reply continuation table, the shared ready unit cell, and statistics.
+//! event-waiter and RPC-reply continuation slabs, the shared ready unit
+//! cell, and statistics.
 //!
 //! The context is installed in thread-local storage for the duration of the
 //! SPMD region so that futures (`wait`), free functions, and callbacks can
@@ -11,16 +12,19 @@
 
 use std::any::Any;
 use std::cell::{Cell as StdCell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use gasnex::net::NetAction;
-use gasnex::{Batch, ClockMode, Coalescer, ConduitKind, EventCore, FlushReason, Push, Rank, World};
+use gasnex::{
+    Batch, ClockMode, Coalescer, ConduitKind, FlushReason, Push, Rank, TokenRoute, World,
+};
 
 use crate::continuation::{Callback, CallbackQueue, WorldShared};
 use crate::future::cell::{shared_ready_unit_cell, Cell};
 use crate::metrics::{MetricSeries, MetricsConfig};
+use crate::slab::Slab;
 use crate::stats::{add, bump, raise, Stats};
 use crate::trace::{CompletionPath, OpKind, RankTracer, TraceOp};
 use crate::version::LibVersion;
@@ -28,11 +32,21 @@ use crate::version::LibVersion;
 /// A rank-local continuation fed by a type-erased RPC reply payload.
 pub(crate) type ReplyContinuation = Box<dyn FnOnce(Box<dyn Any + Send>)>;
 
+/// The notification of one in-flight operation, filed in
+/// [`RankCtx::event_waiters`] until its completion token surfaces.
+pub(crate) struct Waiter {
+    run: Box<dyn FnOnce()>,
+    /// The token's trace id, from the rank's monotonic `next_token`.
+    trace: u64,
+    /// A later request on the same operation, woken by the same token.
+    next: Option<usize>,
+}
+
 /// A rank-local notification waiting for delivery by the progress engine.
 ///
-/// In-flight events are *not* represented here: the signal-driven engine
-/// registers them as event waiters whose completion tokens arrive on the
-/// rank's ready queue (see [`RankCtx::register_on_event`]), so the deferred
+/// In-flight operations are *not* represented here: the signal-driven
+/// engine files them as event waiters whose completion tokens arrive on
+/// the rank's ready queue (see [`RankCtx::await_route`]), so the deferred
 /// queue never holds anything that would need re-polling against an event.
 pub(crate) enum Deferred {
     /// The operation already completed synchronously, but the requested
@@ -52,19 +66,18 @@ pub(crate) struct RankCtx {
     /// constexpr optimization.
     pub assume_all_local: bool,
     pub deferred: RefCell<VecDeque<Deferred>>,
-    /// Notification callbacks for in-flight events, keyed by the completion
-    /// token routed through this rank's ready queue. The callback is
-    /// inserted *before* the waiter is registered on the event, so a token
-    /// surfacing from the ready queue always finds its callback.
-    pub event_waiters: RefCell<HashMap<u64, Box<dyn FnOnce()>>>,
+    /// Notifications of in-flight operations, filed under the slot their
+    /// completion token carries through this rank's ready queue. A waiter
+    /// is filed *before* its route is armed, so a token surfacing from the
+    /// ready queue always finds it.
+    pub event_waiters: RefCell<Slab<Waiter>>,
     pub next_token: StdCell<u64>,
     /// Reusable drain buffer for ready-queue tokens (one allocation per
     /// rank, not per quantum).
     ready_buf: RefCell<Vec<u64>>,
-    /// RPC continuations keyed by reply id; executed when the reply AM
-    /// arrives on this thread.
-    pub replies: RefCell<HashMap<u64, ReplyContinuation>>,
-    pub next_reply_id: StdCell<u64>,
+    /// RPC continuations filed under their reply id; executed when the
+    /// reply AM arrives on this thread.
+    pub replies: RefCell<Slab<ReplyContinuation>>,
     /// The pre-allocated ready cell shared by every ready `Future<()>`
     /// (when the version has the elision).
     pub ready_unit: Rc<Cell<()>>,
@@ -142,11 +155,10 @@ impl RankCtx {
             version,
             assume_all_local,
             deferred: RefCell::new(VecDeque::new()),
-            event_waiters: RefCell::new(HashMap::new()),
+            event_waiters: RefCell::new(Slab::new()),
             next_token: StdCell::new(0),
             ready_buf: RefCell::new(Vec::new()),
-            replies: RefCell::new(HashMap::new()),
-            next_reply_id: StdCell::new(0),
+            replies: RefCell::new(Slab::new()),
             ready_unit: shared_ready_unit_cell(),
             wall_clock,
             watchdog_ms,
@@ -275,12 +287,9 @@ impl RankCtx {
         self.world.directly_addressable(self.me, target)
     }
 
-    /// Allocate a fresh RPC reply id and register its continuation.
+    /// Register an RPC reply continuation and return its reply id.
     pub fn register_reply(&self, k: ReplyContinuation) -> u64 {
-        let id = self.next_reply_id.get();
-        self.next_reply_id.set(id + 1);
-        self.replies.borrow_mut().insert(id, k);
-        id
+        self.replies.borrow_mut().insert(k) as u64
     }
 
     /// Enqueue a rank-local deferred notification (`Now` or `OnCheck`).
@@ -290,20 +299,46 @@ impl RankCtx {
         self.note_pending_highwater();
     }
 
-    /// Register `f` to be delivered by this rank's progress engine once `ev`
-    /// signals. Mints a completion token, files `f` under it, then asks the
-    /// world to route the event's signal to this rank's ready queue. The
-    /// callback is filed *before* the waiter is registered: an event that is
-    /// already done runs the waiter on this thread immediately, depositing
-    /// the token for the next quantum — exactly the poll-scan engine's
-    /// "deliver at the next progress call" semantics.
-    pub fn register_on_event(&self, ev: &EventCore, f: Box<dyn FnOnce()>) {
+    /// File `f` to be delivered by this rank's progress engine once
+    /// `route` fires, and return its waiter slot. Mints the token's trace
+    /// id, files `f`, then arms `route` with the slot. The waiter is filed
+    /// *before* the route is armed: a route that already fired deposits
+    /// the token on this thread, for the next quantum — exactly the
+    /// poll-scan engine's "deliver at the next progress call" semantics.
+    ///
+    /// `after` is the slot an earlier request on the same operation
+    /// returned: the route is armed once, so `f` chains behind that
+    /// waiter and wakes with its token, still counted as a notification
+    /// of its own.
+    pub fn await_route(
+        &self,
+        route: &TokenRoute,
+        after: Option<usize>,
+        f: Box<dyn FnOnce()>,
+    ) -> usize {
         bump(&self.stats.deferred_enqueued);
-        let token = self.next_token.get();
-        self.next_token.set(token + 1);
-        self.event_waiters.borrow_mut().insert(token, f);
+        let trace = self.next_token.get();
+        self.next_token.set(trace + 1);
+        let slot = {
+            let mut waiters = self.event_waiters.borrow_mut();
+            let slot = waiters.insert(Waiter {
+                run: f,
+                trace,
+                next: None,
+            });
+            if let Some(prev) = after {
+                let prev = waiters
+                    .get_mut(prev)
+                    .expect("chained to a waiter that already ran");
+                prev.next = Some(slot);
+            }
+            slot
+        };
         self.note_pending_highwater();
-        self.world.route_signal(ev, self.me, token);
+        if after.is_none() {
+            route.arm(&self.world, slot as u64, trace);
+        }
+        slot
     }
 
     /// Notifications pending on this rank: registered event waiters,
@@ -380,18 +415,22 @@ impl RankCtx {
         let mut n = self.world.poll_rank(self.me, 64);
 
         // Ready-queue drain: bounded to the tokens present now (callbacks
-        // may complete further operations, handled next quantum).
+        // may complete further operations, handled next quantum). A token
+        // is a waiter slot; it wakes that waiter and any chained behind it.
         let mut tokens = self.ready_buf.take();
         self.world.drain_ready(self.me, &mut tokens);
         for t in tokens.drain(..) {
-            let f = self.event_waiters.borrow_mut().remove(&t);
-            if let Some(f) = f {
+            let mut next = Some(t as usize);
+            while let Some(slot) = next {
+                let w = self.event_waiters.borrow_mut().remove(slot);
+                let w = w.unwrap_or_else(|| panic!("ready token {slot} has no waiter"));
+                next = w.next;
                 bump(&self.stats.event_wakeups);
                 if self.trace_on.get() {
                     let ts = self.trace_now_ns();
-                    self.tracer.borrow_mut().wakeup(t, ts);
+                    self.tracer.borrow_mut().wakeup(w.trace, ts);
                 }
-                f();
+                (w.run)();
                 n += 1;
             }
         }
@@ -602,7 +641,7 @@ pub(crate) fn ready_unit_future_cell() -> Rc<Cell<()>> {
 /// progress — so the continuation (which touches rank-local futures) runs on
 /// the right thread.
 pub(crate) fn deliver_reply(id: u64, payload: Box<dyn Any + Send>) {
-    let k = with_ctx(|ctx| ctx.replies.borrow_mut().remove(&id))
+    let k = with_ctx(|ctx| ctx.replies.borrow_mut().remove(id as usize))
         .unwrap_or_else(|| panic!("RPC reply {id} has no registered continuation"));
     k(payload);
 }
@@ -640,35 +679,46 @@ mod tests {
         assert!(ctx.locally_idle());
     }
 
+    /// File `f` on `route` as a lone request.
+    fn await_fn(ctx: &RankCtx, route: &TokenRoute, f: impl FnOnce() + 'static) -> usize {
+        ctx.await_route(route, None, Box::new(f))
+    }
+
     #[test]
-    fn registered_event_waits_for_signal() {
+    fn armed_route_waits_for_fire() {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
-        let core = EventCore::new();
+        let route = TokenRoute::new(ctx.me);
         let hit = Rc::new(StdCell::new(false));
         let h = Rc::clone(&hit);
-        ctx.register_on_event(&core, Box::new(move || h.set(true)));
+        await_fn(&ctx, &route, move || h.set(true));
         ctx.progress_quantum();
-        assert!(!hit.get(), "notification before event signal");
+        assert!(!hit.get(), "notification before the route fired");
         assert!(!ctx.locally_idle(), "a pending waiter is outstanding work");
-        core.signal();
+        route.fire(&ctx.world);
         ctx.progress_quantum();
         assert!(hit.get());
         assert!(ctx.locally_idle());
     }
 
     #[test]
-    fn already_signalled_event_delivers_next_quantum_not_inline() {
+    fn fired_route_delivers_next_quantum_not_inline() {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
-        let core = EventCore::new();
-        core.signal();
+        let route = TokenRoute::new(ctx.me);
+        route.fire(&ctx.world);
+        assert_eq!(ctx.world.ready_queued(ctx.me), 0, "nothing armed yet");
         let hit = Rc::new(StdCell::new(false));
         let h = Rc::clone(&hit);
-        ctx.register_on_event(&core, Box::new(move || h.set(true)));
+        await_fn(&ctx, &route, move || h.set(true));
         assert!(
             !hit.get(),
             "deferred semantics: never inline at registration"
+        );
+        assert_eq!(
+            ctx.world.ready_queued(ctx.me),
+            1,
+            "the arming thread deposits the token"
         );
         ctx.progress_quantum();
         assert!(hit.get());
@@ -679,64 +729,64 @@ mod tests {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let core = EventCore::new();
+        let route = TokenRoute::new(ctx.me);
         for i in 0..4 {
             let log = Rc::clone(&log);
             if i == 1 {
-                ctx.register_on_event(&core, Box::new(move || log.borrow_mut().push(i)));
+                await_fn(&ctx, &route, move || log.borrow_mut().push(i));
             } else {
                 ctx.push_deferred(Deferred::Now(Box::new(move || log.borrow_mut().push(i))));
             }
         }
         ctx.progress_quantum();
-        // 1 is blocked on the event; everything else delivered in order.
+        // 1 is blocked on the route; everything else delivered in order.
         assert_eq!(*log.borrow(), vec![0, 2, 3]);
-        core.signal();
+        route.fire(&ctx.world);
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![0, 2, 3, 1]);
     }
 
     #[test]
-    fn wakeups_follow_signal_order_not_registration_order() {
+    fn wakeups_follow_fire_order_not_arming_order() {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let evs: Vec<_> = (0..4).map(|_| EventCore::new()).collect();
-        for (i, ev) in evs.iter().enumerate() {
+        let routes: Vec<_> = (0..4).map(|_| TokenRoute::new(ctx.me)).collect();
+        for (i, route) in routes.iter().enumerate() {
             let log = Rc::clone(&log);
-            ctx.register_on_event(ev, Box::new(move || log.borrow_mut().push(i)));
+            await_fn(&ctx, route, move || log.borrow_mut().push(i));
         }
-        evs[3].signal();
-        evs[1].signal();
+        routes[3].fire(&ctx.world);
+        routes[1].fire(&ctx.world);
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![3, 1]);
-        evs[0].signal();
-        evs[2].signal();
+        routes[0].fire(&ctx.world);
+        routes[2].fire(&ctx.world);
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![3, 1, 0, 2]);
     }
 
     #[test]
-    fn one_signal_among_many_pending_wakes_exactly_one() {
+    fn one_fire_among_many_pending_wakes_exactly_one() {
         // The structural claim of the signal-driven engine: with K pending
         // operations and one completed, a quantum delivers that one
         // notification via a ready token — it does not re-test the other K.
         const K: usize = 64;
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
-        let evs: Vec<_> = (0..=K).map(|_| EventCore::new()).collect();
+        let routes: Vec<_> = (0..=K).map(|_| TokenRoute::new(ctx.me)).collect();
         let fired = Rc::new(StdCell::new(0usize));
-        for ev in &evs {
+        for route in &routes {
             let f = Rc::clone(&fired);
-            ctx.register_on_event(ev, Box::new(move || f.set(f.get() + 1)));
+            await_fn(&ctx, route, move || f.set(f.get() + 1));
         }
         assert_eq!(ctx.stats.snapshot().pending_highwater, (K + 1) as u64);
-        evs[7].signal();
+        routes[7].fire(&ctx.world);
         let before = ctx.stats.snapshot();
         ctx.progress_quantum();
         let d = ctx.stats.snapshot().since(&before);
         assert_eq!(fired.get(), 1);
-        assert_eq!(d.event_wakeups, 1, "exactly the signalled op woke");
+        assert_eq!(d.event_wakeups, 1, "exactly the fired op woke");
         assert_eq!(
             d.polls_elided, K as u64,
             "the K pending ops were not re-tested"
@@ -747,11 +797,39 @@ mod tests {
         let d = ctx.stats.snapshot().since(&before);
         assert_eq!(d.event_wakeups, 0);
         assert_eq!(d.polls_elided, K as u64);
-        for ev in &evs {
-            ev.signal();
+        for (i, route) in routes.iter().enumerate() {
+            if i != 7 {
+                route.fire(&ctx.world);
+            }
         }
         ctx.progress_quantum();
         assert_eq!(fired.get(), K + 1);
+        assert!(ctx.locally_idle());
+    }
+
+    #[test]
+    fn chained_waiters_wake_with_one_token_and_count_apiece() {
+        // A second request on one op chains behind the first: one token,
+        // two notifications, in request order, each counted.
+        let ctx = test_ctx();
+        let _g = CtxGuard::install(Rc::clone(&ctx));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let route = TokenRoute::new(ctx.me);
+        let (l1, l2) = (Rc::clone(&log), Rc::clone(&log));
+        let first = await_fn(&ctx, &route, move || l1.borrow_mut().push("first"));
+        ctx.await_route(
+            &route,
+            Some(first),
+            Box::new(move || l2.borrow_mut().push("second")),
+        );
+        let before = ctx.stats.snapshot();
+        route.fire(&ctx.world);
+        assert_eq!(ctx.world.ready_queued(ctx.me), 1, "one token for the op");
+        ctx.progress_quantum();
+        let d = ctx.stats.snapshot().since(&before);
+        assert_eq!(*log.borrow(), vec!["first", "second"]);
+        assert_eq!(d.event_wakeups, 2);
+        assert_eq!(ctx.stats.snapshot().deferred_enqueued, 2);
         assert!(ctx.locally_idle());
     }
 

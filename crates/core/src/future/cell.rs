@@ -1,8 +1,8 @@
 //! The internal promise cell: shared state behind futures and promises.
 //!
 //! A cell is a rank-local (non-`Send`) state machine with a dependency
-//! counter, an optional result value, and a list of readiness callbacks.
-//! It becomes ready when the counter reaches zero; the value must have been
+//! counter, an optional result value, and its readiness callbacks. It
+//! becomes ready when the counter reaches zero; the value must have been
 //! supplied by then. This mirrors UPC++'s internal promise object, whose
 //! heap allocation on every asynchronous operation is precisely the cost
 //! the paper's eager-notification work removes — so all cell allocation is
@@ -16,11 +16,20 @@ use crate::ctx::note_cell_alloc;
 
 type Callback<T> = Box<dyn FnOnce(T)>;
 
+/// A pending cell's readiness callbacks, in registration order. A lone
+/// callback is stored inline: an operation's future or a `when_all` node
+/// usually has exactly one consumer, so it allocates no list.
+enum Callbacks<T> {
+    Empty,
+    One(Callback<T>),
+    Many(Vec<Callback<T>>),
+}
+
 enum State<T> {
     Pending {
         deps: usize,
         value: Option<T>,
-        cbs: Vec<Callback<T>>,
+        cbs: Callbacks<T>,
     },
     Ready(T),
 }
@@ -39,7 +48,7 @@ pub(crate) fn new_cell<T: Clone + 'static>(deps: usize) -> Rc<Cell<T>> {
         state: RefCell::new(State::Pending {
             deps,
             value: None,
-            cbs: Vec::new(),
+            cbs: Callbacks::Empty,
         }),
     })
 }
@@ -56,7 +65,7 @@ pub(crate) fn new_cell_with_value<T: Clone + 'static>(deps: usize, value: T) -> 
         state: RefCell::new(State::Pending {
             deps,
             value: Some(value),
-            cbs: Vec::new(),
+            cbs: Callbacks::Empty,
         }),
     })
 }
@@ -139,7 +148,7 @@ impl<T: Clone> Cell<T> {
                         let v = value.take().expect(
                             "promise readied with no value (finalize before fulfill_result?)",
                         );
-                        let cbs = std::mem::take(cbs);
+                        let cbs = std::mem::replace(cbs, Callbacks::Empty);
                         *st = State::Ready(v.clone());
                         Some((v, cbs))
                     }
@@ -147,14 +156,16 @@ impl<T: Clone> Cell<T> {
                 State::Ready(_) => panic!("promise fulfilled after readiness"),
             }
         };
-        if let Some((v, cbs)) = run {
-            let mut it = cbs.into_iter().peekable();
-            while let Some(cb) = it.next() {
-                if it.peek().is_none() {
-                    cb(v); // last callback takes the value by move
-                    break;
+        match run {
+            None | Some((_, Callbacks::Empty)) => {}
+            Some((v, Callbacks::One(cb))) => cb(v),
+            Some((v, Callbacks::Many(mut cbs))) => {
+                // The last callback takes the value by move.
+                let last = cbs.pop().expect("a callback list holds two or more");
+                for cb in cbs {
+                    cb(v.clone());
                 }
-                cb(v.clone());
+                last(v);
             }
         }
     }
@@ -174,7 +185,17 @@ impl<T: Clone> Cell<T> {
             None => {
                 let mut st = self.state.borrow_mut();
                 match &mut *st {
-                    State::Pending { cbs, .. } => cbs.push(Box::new(f)),
+                    State::Pending { cbs, .. } => {
+                        let f: Callback<T> = Box::new(f);
+                        *cbs = match std::mem::replace(cbs, Callbacks::Empty) {
+                            Callbacks::Empty => Callbacks::One(f),
+                            Callbacks::One(first) => Callbacks::Many(vec![first, f]),
+                            Callbacks::Many(mut all) => {
+                                all.push(f);
+                                Callbacks::Many(all)
+                            }
+                        };
+                    }
                     // A callback running between our two borrows cannot
                     // ready the cell (we hold the only execution context),
                     // but stay defensive.

@@ -61,6 +61,7 @@ pub mod rpc;
 pub mod runtime;
 pub mod ser;
 pub mod signal;
+mod slab;
 pub mod stats;
 pub mod trace;
 pub mod version;

@@ -1,0 +1,79 @@
+//! Heap allocations per blocking off-node operation, pinned.
+//!
+//! A counting global allocator wraps `System`. On two nodes of one rank
+//! each, rank 0 issues blocking `rput(..).wait()` and `rget(..).wait()`
+//! calls into rank 1's memory while rank 1 sits in a barrier, and the
+//! steady-state allocations are rounded per op. Each op allocates its
+//! future's cell, its completion object (`RemoteDone`), its boxed delivery
+//! action, its event-waiter closure, and the simulated conduit's list of
+//! due deliveries in the poll that delivers it. The token that wakes the
+//! waiter travels by index and allocates nothing. This binary holds one
+//! test so that no other test's allocations land in the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use upcr::{launch, RuntimeConfig};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const WARMUP: u64 = 1_000;
+const OPS: u64 = 10_000;
+
+/// Allocations per call of `op` after warm-up, rounded to the nearest
+/// whole number.
+fn allocs_per_op(mut op: impl FnMut()) -> u64 {
+    for _ in 0..WARMUP {
+        op();
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..OPS {
+        op();
+    }
+    let n = ALLOCS.load(Ordering::SeqCst) - before;
+    (n + OPS / 2) / OPS
+}
+
+#[test]
+fn blocking_offnode_put_and_get_allocate_five_times_per_op() {
+    launch(RuntimeConfig::udp(2, 1).with_segment_size(1 << 16), |u| {
+        let word = u.broadcast(u.new_::<u64>(0), 1);
+        u.barrier();
+        if u.rank_me() == 0 {
+            let put = allocs_per_op(|| u.rput(7, word).wait());
+            let get = allocs_per_op(|| assert_eq!(u.rget(word).wait(), 7));
+            assert_eq!(
+                (put, get),
+                (5, 5),
+                "heap allocations per blocking off-node (rput, rget)"
+            );
+        }
+        u.barrier();
+    });
+}

@@ -205,6 +205,101 @@ fn row<O: Op>(u: &Upcr, fx: Fx, s: &mut u64) {
     }
 }
 
+/// Two operation-completion requests on one off-node op.
+#[derive(Clone, Copy, Debug)]
+enum Pair {
+    /// `as_future | as_promise`.
+    FutProm,
+    /// `as_lpc | as_future`.
+    LpcFut,
+    /// `as_future | as_callback`.
+    FutCb,
+}
+
+/// Issue `O` from rank 0 with the two requests of `pair`: each fires
+/// exactly once with the op's value, and the engine counters move once
+/// per notification (a callback runs from the callback drain, not from a
+/// ready-queue wakeup).
+fn check_pair<O: Op>(u: &Upcr, fx: Fx, s: u64, pair: Pair) {
+    let case = format!("{} / {pair:?}", std::any::type_name::<O>());
+    seed(u, fx, s);
+    let before = u.stats();
+    let got: Rc<RefCell<Vec<O::V>>> = Rc::default();
+    let sent: Arc<Mutex<Vec<O::V>>> = Arc::default();
+    let (g, sn) = (Rc::clone(&got), Arc::clone(&sent));
+    let futs = match pair {
+        Pair::FutProm => {
+            let p = O::V::promise();
+            let (f, ()) = O::issue(
+                u,
+                fx,
+                s,
+                operation_cx::as_future() | operation_cx::as_promise(&p),
+            );
+            vec![f, p.finalize()]
+        }
+        Pair::LpcFut => {
+            let lpc = operation_cx::as_lpc(move |v| g.borrow_mut().push(v));
+            vec![O::issue(u, fx, s, lpc | operation_cx::as_future()).1]
+        }
+        Pair::FutCb => {
+            let cb = operation_cx::as_callback(move |v| sn.lock().unwrap().push(v));
+            vec![O::issue(u, fx, s, operation_cx::as_future() | cb).0]
+        }
+    };
+    let mut values: Vec<O::V> = futs.iter().map(|f| f.wait()).collect();
+    while values.len() + got.borrow().len() + sent.lock().unwrap().len() < 2 {
+        u.progress();
+    }
+    // A duplicate delivery would surface within these quanta.
+    for _ in 0..8 {
+        u.progress();
+    }
+    values.append(&mut got.take());
+    values.append(&mut sent.lock().unwrap());
+    assert_eq!(
+        values,
+        vec![O::value(s); 2],
+        "{case}: each value arrives once"
+    );
+    let d = u.stats().since(&before);
+    assert_one_offnode_op(&d, 0, &case);
+    let (deferred, callbacks) = match pair {
+        Pair::FutCb => (1, 1),
+        _ => (2, 0),
+    };
+    assert_eq!(d.deferred_enqueued, deferred, "{case}: deferred_enqueued");
+    assert_eq!(d.event_wakeups, deferred, "{case}: event_wakeups");
+    assert_eq!(d.callbacks_run, callbacks, "{case}: callbacks_run");
+    for (p, v) in O::landed(fx, s) {
+        assert_eq!(read(u, p), v, "{case}: landed data");
+    }
+}
+
+fn pair_row<O: Op>(u: &Upcr, fx: Fx, s: &mut u64) {
+    for pair in [Pair::FutProm, Pair::LpcFut, Pair::FutCb] {
+        *s += 1;
+        if u.rank_me() == 0 {
+            check_pair::<O>(u, fx, *s, pair);
+        }
+        u.barrier();
+    }
+}
+
+#[test]
+fn two_requests_on_one_offnode_op_each_fire_once() {
+    launch(RuntimeConfig::udp(2, 1).with_segment_size(1 << 16), |u| {
+        let fx = Fx {
+            word: u.broadcast(u.new_::<u64>(0), 1),
+            res: u.broadcast(u.new_::<u64>(0), 1),
+            arr: u.broadcast(u.new_array::<u64>(16), 1),
+        };
+        let mut s = 0;
+        pair_row::<Rput>(u, fx, &mut s);
+        pair_row::<Rget>(u, fx, &mut s);
+    });
+}
+
 #[test]
 fn every_offnode_op_completes_once_under_every_kind() {
     launch(RuntimeConfig::udp(2, 1).with_segment_size(1 << 16), |u| {

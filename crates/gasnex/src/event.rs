@@ -7,12 +7,20 @@
 //! runtime before any event exists, so only asynchronous operations carry
 //! one. The core supports **signal-driven completion**: the initiator may
 //! register a one-shot waiter with [`EventCore::on_signal`], and whichever
-//! thread signals the event runs the waiter — typically routing a
-//! completion token into the initiating rank's ready queue — so nobody has
-//! to rediscover the flag by polling.
+//! thread signals the event runs the waiter, so nobody has to rediscover
+//! the flag by polling. Continuation callbacks and parked waiters use it.
+//!
+//! A [`TokenRoute`] is the lighter path the progress engine takes: a
+//! completion token routed by index. The initiator arms it with the slot
+//! of its waiter, the operation's delivery action fires it, and the slot
+//! lands in the initiator's ready queue. Nothing is boxed or locked on the
+//! way beyond the queue push.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::rank::Rank;
+use crate::world::World;
 
 /// A one-shot callback run by the signalling thread.
 type Waiter = Box<dyn FnOnce() + Send>;
@@ -26,8 +34,8 @@ type Waiter = Box<dyn FnOnce() + Send>;
 /// each, after the flag is set: either by the signalling thread (in
 /// registration order), or immediately at registration when the signal
 /// already happened. Multiple waiters may be registered on one event — an
-/// operation can route a completion token *and* carry a continuation
-/// callback (`operation_cx::as_future | as_callback`).
+/// operation can carry two continuation callbacks
+/// (`operation_cx::as_callback | as_callback`).
 #[derive(Default)]
 pub struct EventCore {
     done: AtomicBool,
@@ -78,8 +86,7 @@ impl EventCore {
     /// If the event has already been signalled, `w` runs immediately on the
     /// calling thread; otherwise it runs on whichever thread signals, in
     /// registration order after any earlier waiters. Any number of waiters
-    /// may be registered — the engine registers a token route, and a
-    /// continuation callback may ride the same event.
+    /// may be registered.
     pub fn on_signal(&self, w: impl FnOnce() + Send + 'static) {
         {
             let mut slot = self.waiters.lock().unwrap();
@@ -131,6 +138,71 @@ impl EventCore {
             fired = g;
         }
         true
+    }
+}
+
+/// [`TokenRoute`] state: neither armed nor fired.
+const IDLE: u64 = u64::MAX;
+/// [`TokenRoute`] state: fired (any other value is the armed slot).
+const FIRED: u64 = u64::MAX - 1;
+
+/// The route of one in-flight operation's completion token into its
+/// initiator's ready queue.
+///
+/// The initiating rank [`arm`](Self::arm)s it once with the slot of the
+/// waiter it filed, and the operation's delivery action
+/// [`fire`](Self::fire)s it once. Whichever of the two comes second
+/// deposits the slot: a fire after the arm deposits it on the delivering
+/// thread, an arm after the fire deposits it on the arming thread. Either
+/// way the initiator's next ready-queue drain surfaces it, so the waiter
+/// never runs inline at arming. The arm is a compare-exchange from idle
+/// and the fire a swap to fired, so exactly one of them sees the other's
+/// write: the slot is deposited exactly once.
+#[derive(Debug)]
+pub struct TokenRoute {
+    initiator: Rank,
+    /// [`IDLE`], [`FIRED`], or the armed slot.
+    state: AtomicU64,
+    /// The armed token's trace id, written before the arming exchange.
+    trace: AtomicU64,
+}
+
+impl TokenRoute {
+    /// An unarmed route into `initiator`'s ready queue.
+    pub fn new(initiator: Rank) -> Self {
+        TokenRoute {
+            initiator,
+            state: AtomicU64::new(IDLE),
+            trace: AtomicU64::new(0),
+        }
+    }
+
+    /// Arm the route with `slot`, traced as `trace` in the `Signal` event
+    /// of the deposit. If the route already fired, the token is deposited
+    /// now, on this thread.
+    pub fn arm(&self, world: &World, slot: u64, trace: u64) {
+        assert!(slot < FIRED, "token slot {slot} is out of range");
+        // Relaxed: the arming exchange (Release) publishes it to the swap
+        // in `fire` (Acquire) that finds the slot.
+        self.trace.store(trace, Ordering::Relaxed);
+        if self
+            .state
+            .compare_exchange(IDLE, slot, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            world.deposit_token(self.initiator, slot, trace);
+        }
+    }
+
+    /// Fire the route: deposit the armed token, if any. An unarmed route
+    /// leaves the deposit to its arming thread. The delivery action calls
+    /// this exactly once.
+    pub fn fire(&self, world: &World) {
+        match self.state.swap(FIRED, Ordering::AcqRel) {
+            IDLE => {}
+            FIRED => panic!("a token route fired twice"),
+            slot => world.deposit_token(self.initiator, slot, self.trace.load(Ordering::Relaxed)),
+        }
     }
 }
 

@@ -99,11 +99,12 @@ impl<T> Default for MpQueue<T> {
 }
 
 /// A per-rank ready-notification queue: completion tokens deposited by
-/// whichever thread signals an event, drained FIFO by the owning rank.
+/// [`TokenRoute`](crate::event::TokenRoute)s, drained FIFO by the owning
+/// rank.
 ///
-/// The token is an opaque `u64` minted by the initiating rank when it
-/// registers an event waiter; the rank maps it back to the registered
-/// notification callback when the token surfaces here.
+/// The token is the slot of the waiter the initiating rank filed when it
+/// armed the route; the rank runs that waiter when the token surfaces
+/// here.
 pub type ReadyQueue = MpQueue<u64>;
 
 #[cfg(test)]

@@ -87,8 +87,9 @@ pub enum NetEventKind {
     Deliver,
     /// A duplicated wire copy was discarded by receiver-side dedup.
     DupDiscard,
-    /// An initiator-side completion signal was routed to a rank's ready
-    /// queue (recorded by `World::route_signal`, not by the conduit).
+    /// An initiator-side completion token was deposited in a rank's ready
+    /// queue by its `TokenRoute` (recorded by the depositing thread, not by
+    /// the conduit).
     Signal { rank: u32, token: u64 },
 }
 

@@ -8,7 +8,6 @@ use crate::clock::LamportClocks;
 use crate::conduit::udp::UdpConduit;
 use crate::conduit::Conduit;
 use crate::config::{GasnexConfig, Transport, NOTIFY_WORDS};
-use crate::event::EventCore;
 use crate::mailbox::ReadyQueue;
 use crate::net::{NetAction, SimNetwork};
 use crate::notify::NotifyTable;
@@ -27,8 +26,8 @@ pub struct World {
     am: AmQueues,
     net: Box<dyn Conduit>,
     /// Per-rank ready-notification queues: completion tokens deposited by
-    /// whichever thread signals an event a rank registered a waiter on,
-    /// drained FIFO by the owning rank during its progress quantum.
+    /// [`TokenRoute`](crate::event::TokenRoute)s, drained FIFO by the
+    /// owning rank during its progress quantum.
     ready: Box<[ReadyQueue]>,
     /// The team of all ranks.
     world_team: Team,
@@ -241,30 +240,26 @@ impl World {
         out
     }
 
-    /// Route `ev`'s completion signal to `initiator`'s ready queue as
-    /// `token`. Registers a one-shot waiter on the event: whichever thread
-    /// signals it (network delivery, AM executor, remote AMO) deposits the
-    /// token, and the initiator's next ready-queue drain surfaces it —
-    /// tokens arrive in signal order, and an already-signalled event
-    /// deposits immediately on the calling thread.
-    pub fn route_signal(self: &Arc<Self>, ev: &EventCore, initiator: Rank, token: u64) {
-        let world = Arc::clone(self);
-        ev.on_signal(move || {
-            // Lamport stamp for the signal routing: a local event on the
-            // initiator's clock (the rank whose ready queue receives the
-            // token), ordered before the Wakeup the drain will record.
-            let lclock = world.net.core().lamport_tick(Some(initiator.0));
-            world.net.trace_event(
-                u64::MAX,
-                0,
-                crate::net::NetEventKind::Signal {
-                    rank: initiator.0,
-                    token,
-                },
-                lclock,
-            );
-            world.ready[initiator.idx()].push(token)
-        });
+    /// Deposit the completion token `slot` in `initiator`'s ready queue.
+    /// The second of a [`TokenRoute`](crate::event::TokenRoute)'s arm and
+    /// fire calls does this, on its own thread. Tokens surface at the
+    /// initiator's next ready-queue drain in deposit order. The deposit is
+    /// traced as a `Signal` event carrying `trace`, the token's trace id.
+    pub(crate) fn deposit_token(&self, initiator: Rank, slot: u64, trace: u64) {
+        // Lamport stamp for the signal routing: a local event on the
+        // initiator's clock (the rank whose ready queue receives the
+        // token), ordered before the Wakeup the drain will record.
+        let lclock = self.net.core().lamport_tick(Some(initiator.0));
+        self.net.trace_event(
+            u64::MAX,
+            0,
+            crate::net::NetEventKind::Signal {
+                rank: initiator.0,
+                token: trace,
+            },
+            lclock,
+        );
+        self.ready[initiator.idx()].push(slot)
     }
 
     /// Drain `me`'s ready queue into `out` (FIFO, bounded to the tokens
@@ -476,27 +471,36 @@ mod tests {
     }
 
     #[test]
-    fn route_signal_delivers_tokens_in_signal_order() {
+    fn token_routes_deliver_in_fire_order() {
+        use crate::event::TokenRoute;
         let w = World::new(GasnexConfig::smp(2).with_segment_size(1 << 12));
-        let evs: Vec<_> = (0..4).map(|_| crate::event::EventCore::new()).collect();
-        for (i, ev) in evs.iter().enumerate() {
-            w.route_signal(ev, Rank(0), i as u64);
+        let routes: Vec<_> = (0..4).map(|_| TokenRoute::new(Rank(0))).collect();
+        for (i, r) in routes.iter().enumerate() {
+            r.arm(&w, i as u64, 100 + i as u64);
         }
-        assert_eq!(w.ready_queued(Rank(0)), 0);
-        // Signal out of registration order; tokens must surface in signal order.
-        evs[2].signal();
-        evs[0].signal();
-        evs[3].signal();
+        assert_eq!(w.ready_queued(Rank(0)), 0, "arming deposits nothing");
+        // Fire out of arming order; slots must surface in fire order.
+        routes[2].fire(&w);
+        routes[0].fire(&w);
+        routes[3].fire(&w);
         let mut out = Vec::new();
         assert_eq!(w.drain_ready(Rank(0), &mut out), 3);
         assert_eq!(out, vec![2, 0, 3]);
-        // Routing on an already-signalled event deposits immediately.
-        evs[1].signal();
+        routes[1].fire(&w);
         assert_eq!(w.ready_queued(Rank(0)), 1);
-        let late = crate::event::EventCore::new();
-        late.signal();
-        w.route_signal(&late, Rank(1), 99);
-        assert_eq!(w.ready_queued(Rank(1)), 1);
+        // Arming a route that already fired deposits on the arming thread,
+        // into the initiator's queue.
+        let late = TokenRoute::new(Rank(1));
+        late.fire(&w);
+        assert_eq!(
+            w.ready_queued(Rank(1)),
+            0,
+            "an unarmed fire deposits nothing"
+        );
+        late.arm(&w, 99, 7);
+        out.clear();
+        assert_eq!(w.drain_ready(Rank(1), &mut out), 1);
+        assert_eq!(out, vec![99]);
     }
 
     #[test]

@@ -165,65 +165,74 @@ fn collectives_oversubscribed_stress() {
 }
 
 #[test]
-fn ready_queue_interleaved_producers_never_lose_or_duplicate_tokens() {
-    // K producer threads race signal-driven token deposits into the
-    // per-rank ReadyQueues under seeded yield schedules, mixing all three
-    // registration/signal interleavings (route-then-signal,
-    // signal-then-route, and route/yield/signal). Concurrent per-rank
+fn token_routes_racing_across_threads_never_lose_or_duplicate_tokens() {
+    // K producers each own a run of token routes into the per-rank
+    // ReadyQueues. One thread arms the run and another fires it, both in
+    // order under seeded yield schedules. A seeded order, shared by the
+    // two threads, makes each route arm first, fire first, or race freely,
+    // so both deposit paths run on every producer: whichever of the arm
+    // and the fire comes second deposits the token. Concurrent per-rank
     // drainers must observe every token exactly once, at its designated
-    // rank, with each producer's per-rank subsequence in signal order —
-    // and the number of wakeup tokens delivered must equal the number of
-    // signals fired.
+    // rank, with each producer's per-rank subsequence in completion order
+    // (a route completes at the later of its arm and fire, and both
+    // threads walk the run in order), and the number of tokens delivered
+    // must equal the number of routes fired.
+    use gasnex::TokenRoute;
     use graphgen::SeededRng;
+    use std::sync::atomic::AtomicU8;
     use std::sync::Mutex;
 
-    const PRODUCERS: u64 = 8;
+    const PRODUCERS: u64 = 4;
     const PER: u64 = 400;
     const RANKS: usize = 4;
+    const ARMED: u8 = 1;
+    const FIRED: u8 = 2;
     let w = World::new(GasnexConfig::smp(RANKS).with_segment_size(1 << 12));
-    let producers_done = AtomicU64::new(0);
-    let signals_fired = AtomicU64::new(0);
+    let rank_of = |token: u64| Rank((token % RANKS as u64) as u32);
+    let runs: Vec<Vec<(TokenRoute, AtomicU8)>> = (0..PRODUCERS)
+        .map(|p| {
+            (p * PER..(p + 1) * PER)
+                .map(|token| (TokenRoute::new(rank_of(token)), AtomicU8::new(0)))
+                .collect()
+        })
+        .collect();
+    let sides_done = AtomicU64::new(0);
+    let routes_fired = AtomicU64::new(0);
     let drained: Vec<Mutex<Vec<u64>>> = (0..RANKS).map(|_| Mutex::new(Vec::new())).collect();
 
     std::thread::scope(|s| {
-        for p in 0..PRODUCERS {
-            let w = Arc::clone(&w);
-            let producers_done = &producers_done;
-            let signals_fired = &signals_fired;
-            s.spawn(move || {
-                let mut r = SeededRng::seed_from_u64(0xC4A05 ^ p);
-                for i in 0..PER {
-                    let token = p * PER + i;
-                    let target = Rank((token % RANKS as u64) as u32);
-                    let ev = gasnex::EventCore::new();
-                    match r.below(3) {
-                        0 => {
-                            w.route_signal(&ev, target, token);
-                            ev.signal();
+        for (p, run) in (0..PRODUCERS).zip(&runs) {
+            for fire in [false, true] {
+                let (w, sides_done, routes_fired) = (&w, &sides_done, &routes_fired);
+                s.spawn(move || {
+                    let mut order = SeededRng::seed_from_u64(0xC4A05 ^ p);
+                    let mut yields = SeededRng::seed_from_u64(0x5EED ^ p ^ u64::from(fire) << 32);
+                    let (mine, theirs) = if fire { (FIRED, ARMED) } else { (ARMED, FIRED) };
+                    for (token, (route, stage)) in (p * PER..).zip(run) {
+                        // 0: arm first, 1: fire first, 2: race.
+                        let first = [ARMED, FIRED, 0][order.below(3)];
+                        if first == theirs {
+                            while stage.load(Ordering::Acquire) & theirs == 0 {
+                                std::thread::yield_now();
+                            }
                         }
-                        1 => {
-                            // Already-signalled events deposit at routing.
-                            ev.signal();
-                            w.route_signal(&ev, target, token);
+                        if fire {
+                            route.fire(w);
+                            routes_fired.fetch_add(1, Ordering::SeqCst);
+                        } else {
+                            route.arm(w, token, token);
                         }
-                        _ => {
-                            w.route_signal(&ev, target, token);
+                        stage.fetch_or(mine, Ordering::Release);
+                        if yields.below(4) == 0 {
                             std::thread::yield_now();
-                            ev.signal();
                         }
                     }
-                    signals_fired.fetch_add(1, Ordering::SeqCst);
-                    if r.below(4) == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                producers_done.fetch_add(1, Ordering::SeqCst);
-            });
+                    sides_done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
         }
         for rk in 0..RANKS {
-            let w = Arc::clone(&w);
-            let producers_done = &producers_done;
-            let drained = &drained;
+            let (w, sides_done, drained) = (&w, &sides_done, &drained);
             s.spawn(move || {
                 let me = Rank(rk as u32);
                 let mut got = Vec::new();
@@ -231,9 +240,10 @@ fn ready_queue_interleaved_producers_never_lose_or_duplicate_tokens() {
                 loop {
                     w.drain_ready(me, &mut buf);
                     got.append(&mut buf);
-                    // All deposits happen-before the producer-done bump, so
-                    // once every producer is done an empty queue is final.
-                    if producers_done.load(Ordering::SeqCst) == PRODUCERS && w.ready_queued(me) == 0
+                    // All deposits happen-before their side's done bump, so
+                    // once both sides of every run are done an empty queue
+                    // is final.
+                    if sides_done.load(Ordering::SeqCst) == 2 * PRODUCERS && w.ready_queued(me) == 0
                     {
                         break;
                     }
@@ -252,7 +262,7 @@ fn ready_queue_interleaved_producers_never_lose_or_duplicate_tokens() {
         let mut last_per_producer = vec![None::<u64>; PRODUCERS as usize];
         for &token in got.iter() {
             assert_eq!(
-                (token % RANKS as u64) as usize,
+                rank_of(token).idx(),
                 rk,
                 "token {token} surfaced at the wrong rank"
             );
@@ -260,15 +270,15 @@ fn ready_queue_interleaved_producers_never_lose_or_duplicate_tokens() {
             let p = (token / PER) as usize;
             assert!(
                 last_per_producer[p].is_none_or(|prev| prev < token),
-                "producer {p}'s tokens out of signal order at rank {rk}"
+                "producer {p}'s tokens out of completion order at rank {rk}"
             );
             last_per_producer[p] = Some(token);
         }
     }
     assert_eq!(
         total,
-        signals_fired.load(Ordering::SeqCst),
-        "wakeup tokens delivered must equal signals fired"
+        routes_fired.load(Ordering::SeqCst),
+        "tokens delivered must equal routes fired"
     );
     assert_eq!(total, PRODUCERS * PER, "no token may be lost");
     for rk in 0..RANKS {
