@@ -17,9 +17,13 @@
 #                    bands; also proves the gate trips on the broken
 #                    fixture for its planted reason (a nonzero exit AND
 #                    the v2021_3_6_eager.put_deferred_count failure line;
-#                    its printed FAIL lines are labelled expected). Set
-#                    BENCH_OUT to keep the generated files (CI uploads
-#                    them as artifacts).
+#                    its printed FAIL lines are labelled expected). Then
+#                    runs the wall-clock `figures --quick latency offnode`
+#                    sections (instrument cost, off-node round trip,
+#                    callback notify p50/p99), which must print their
+#                    rows; those numbers are not gated. Set BENCH_OUT to
+#                    keep the generated files (CI uploads them as
+#                    artifacts).
 #   ./ci.sh conduit  conduit-swap gate: the trait-extraction golden suite
 #                    (SimNetwork behind the Conduit trait must reproduce
 #                    pre-refactor digests, counters, and wire traces) plus
@@ -94,12 +98,12 @@ case "$job" in
     echo "CI green."
     ;;
   chaos)
-    # Network-layer chaos regressions first (dup-promotion races, bounded
-    # dedup state, pending/heap invariants), then the harness sweep: the
-    # seed list lives in crates/simtest/tests/differential.rs; every
-    # workload runs under every seed x fault plan for both notification
-    # modes (with and without aggregation), and the whole sweep must stay
-    # well under two minutes.
+    # Network-layer chaos regressions first (dup-promotion races,
+    # exactly-once dedup, pending/heap invariants), then the harness
+    # sweep: the seed list lives in crates/simtest/tests/differential.rs;
+    # every workload runs under every seed x fault plan for both
+    # notification modes (with and without aggregation), and the whole
+    # sweep must stay well under two minutes.
     echo "==> cargo test -p gasnex --release -q"
     cargo test -p gasnex --release -q
 
@@ -151,6 +155,13 @@ case "$job" in
       echo "regress exited $status on the broken fixture, but not for its planted put_deferred_count drift" >&2
       exit 1
     fi
+
+    echo "==> figures --quick latency offnode (wall clock, not gated)"
+    wall=$(cargo run -p bench --bin figures --release -q -- --quick latency offnode)
+    printf '%s\n' "$wall"
+    for row in "instruments off" "tracing on" "metrics on" "progress thread off" "progress thread on"; do
+      printf '%s\n' "$wall" | grep -q "$row" || { echo "figures printed no '$row' row" >&2; exit 1; }
+    done
 
     echo "Bench regression gate green."
     ;;

@@ -18,16 +18,17 @@
 //! An unknown section prints this usage and exits with status 2.
 //!
 //! `--json` switches to benchmark-pipeline mode: instead of regenerating
-//! the wall-clock figures it writes `BENCH_micro.json` (virtual-clock
-//! probe per library version) and `BENCH_gups.json` (differential chaos
-//! harness outcomes) — the `bench.v1` documents the `regress` binary
-//! gates against `ci/baseline/`. Both are byte-deterministic for a fixed
-//! mode, so CI commits them as zero-tolerance baselines.
+//! the wall-clock figures it writes one `BENCH_<section>.json` per section
+//! (e.g. `BENCH_micro.json`, the virtual-clock probe per library version)
+//! — the `bench.v1` documents the `regress` binary gates against
+//! `ci/baseline/`. Every one is byte-deterministic for a fixed mode, so CI
+//! commits them as zero-tolerance baselines.
 //!
 //! Output sections correspond to: Figures 2–4 (microbenchmarks), Figures
-//! 5–7 (GUPS), Figure 8 (graph matching), the §IV-A off-node validation,
-//! the DESIGN.md ablations, and the completion-path latency histograms
-//! from the operation-lifecycle trace subsystem.
+//! 5–7 (GUPS), Figure 8 (graph matching), the §IV-A off-node validation
+//! with the callback notify latency, the DESIGN.md ablations, and the
+//! completion-path latency histograms from the operation-lifecycle trace
+//! subsystem with what each instrument costs.
 
 use bench::micro::MicroOp;
 use bench::{ablation, fmt_row, micro, offnode, VERSIONS};
@@ -231,6 +232,9 @@ fn matching_mp_comparison(args: &Args) {
 /// per (op kind × completion path) merged across ranks. The eager build
 /// should show its completions concentrated on the eager path at ~0
 /// latency; the defer builds push everything through the progress engine.
+/// Then what the instruments cost: the Figure 2 eager local put with
+/// every instrument off (the default), with tracing on, and with metric
+/// sampling on.
 fn latency_histograms(args: &Args) {
     let ranks = args.ranks.clamp(2, 8);
     let cfg = GupsConfig {
@@ -269,6 +273,27 @@ fn latency_histograms(args: &Args) {
                 row.max_ns
             );
         }
+    }
+    let iters: u64 = if args.quick { 200_000 } else { 2_000_000 };
+    let samples = if args.quick { 1 } else { args.samples };
+    println!(
+        "\n  instrument cost, local eager put (2021.3.6 eager, best-half mean of {samples} x {iters} ops):"
+    );
+    let eager_put = |setup: fn(&upcr::Upcr)| {
+        best_half_mean(samples, || {
+            micro::ns_per_op(LibVersion::V2021_3_6Eager, MicroOp::Put, iters, setup)
+        })
+    };
+    let off = eager_put(|_| {});
+    println!("    instruments off {off:>8.1} ns/op");
+    for (label, on) in [
+        ("tracing on", eager_put(|u| u.trace_enabled(true))),
+        ("metrics on", eager_put(|u| u.metrics_enabled(true))),
+    ] {
+        println!(
+            "    {label:<15} {on:>8.1} ns/op  ({:+.0}%)",
+            100.0 * (on / off - 1.0)
+        );
     }
     println!();
 }
@@ -326,12 +351,13 @@ fn fig_2_3_4_micro(args: &Args) {
             &VERSIONS.iter().map(|v| v.to_string()).collect::<Vec<_>>()
         )
     );
+    let ns = |v, op| micro::ns_per_op(v, op, iters, |_| {});
     for op in MicroOp::ALL {
         let cells: Vec<String> = VERSIONS
             .iter()
             .map(|&v| {
                 if op.available_in(v) {
-                    format!("{:.1} ns", micro::ns_per_op(v, op, iters))
+                    format!("{:.1} ns", ns(v, op))
                 } else {
                     "n/a".to_string()
                 }
@@ -340,10 +366,10 @@ fn fig_2_3_4_micro(args: &Args) {
         println!("{}", fmt_row(op.name(), &cells));
     }
     // Headline ratios the paper reports.
-    let put_defer = micro::ns_per_op(LibVersion::V2021_3_6Defer, MicroOp::Put, iters);
-    let put_eager = micro::ns_per_op(LibVersion::V2021_3_6Eager, MicroOp::Put, iters);
-    let fa_v = micro::ns_per_op(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAdd, iters);
-    let fa_m = micro::ns_per_op(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAddInto, iters);
+    let put_defer = ns(LibVersion::V2021_3_6Defer, MicroOp::Put);
+    let put_eager = ns(LibVersion::V2021_3_6Eager, MicroOp::Put);
+    let fa_v = ns(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAdd);
+    let fa_m = ns(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAddInto);
     println!(
         "\n  eager vs defer put speedup: {:.0}%  (paper: 92-95%)",
         100.0 * (put_defer / put_eager - 1.0)
@@ -480,6 +506,12 @@ fn offnode_validation(args: &Args) {
         );
     }
     println!("  (paper: no statistically significant difference)\n");
+    println!("  callback notify, cross-node rput_with(as_callback), 64 puts:");
+    for (label, thread) in [("off", false), ("on", true)] {
+        let (p50, p99) = offnode::callback_notify_ns(thread);
+        println!("    progress thread {label:<3}  p50 {p50:>7} ns  p99 {p99:>7} ns");
+    }
+    println!();
 }
 
 fn ablations(args: &Args) {

@@ -7,8 +7,8 @@
 //! Every `BENCH_*.json` in the baseline directory must exist in the
 //! current directory and pass [`bench::regress::compare`] under the
 //! baseline's tolerance bands; any regression, missing file, or missing
-//! metric exits nonzero. Files only the current directory has (e.g. the
-//! wall-clock `BENCH_trace_overhead.json`) are reported but not gated.
+//! metric exits nonzero. Files only the current directory has are
+//! reported but not gated.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

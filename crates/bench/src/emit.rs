@@ -14,10 +14,6 @@
 //!   schedule-independent by construction (single-writer/commutative
 //!   state, fault fates a pure hash of `(seed, msg, attempt)` over a
 //!   fixed message-id set).
-//!
-//! The wall-clock **trace_overhead** suite is also emitted here (by the
-//! Criterion bench) with wide relative bands; it is informational and not
-//! committed as a baseline.
 
 use simtest::Workload;
 use upcr::metrics::probe::{run as probe_run, ProbeConfig};
@@ -73,16 +69,10 @@ impl DocBuilder {
 
     /// Add an exactly-reproducible metric (zero tolerance band).
     pub fn exact(&mut self, name: &str, unit: &str, value: f64) {
-        self.metric(name, unit, value, 0.0, 0.0);
-    }
-
-    pub fn metric(&mut self, name: &str, unit: &str, value: f64, tol_rel: f64, tol_abs: f64) {
         self.metrics.push(format!(
             "{{\"name\":\"{name}\",\"unit\":\"{unit}\",\"value\":{},\
-             \"tol_rel\":{},\"tol_abs\":{}}}",
-            fmt_num(value),
-            fmt_num(tol_rel),
-            fmt_num(tol_abs)
+             \"tol_rel\":0,\"tol_abs\":0}}",
+            fmt_num(value)
         ));
     }
 
@@ -238,8 +228,8 @@ pub fn bench_gups_doc(quick: bool) -> String {
     b.finish()
 }
 
-/// `BENCH_signals.json`: the notifiable-RMA + continuation suite. Four
-/// halves:
+/// `BENCH_signals.json`: the notifiable-RMA + continuation suite, in
+/// three parts:
 ///
 /// * **park** — a wall-clock 4-rank world (2 ranks per node) where rank 0
 ///   blocks in `wait_signal` while ranks 1..3 `put_signal` distinct
@@ -262,11 +252,6 @@ pub fn bench_gups_doc(quick: bool) -> String {
 ///   `continuations.callback_loss`, which carries a hard ==0 rule in the
 ///   regression gate regardless of the committed baseline — every
 ///   callback-carrying op must run its continuation exactly once.
-/// * **notify** — wall-clock p50/p99 issue→continuation latency for a
-///   cross-node `rput` with a callback, measured without and with the
-///   background progress thread. Real time: wide bands, never committed
-///   to the baseline (the determinism test filters these rows), purely
-///   the informational with/without-thread comparison.
 pub fn bench_signals_doc(quick: bool) -> String {
     let seed = 42u64;
     let mut b = DocBuilder::new("signals", mode_name(quick), seed, simtest::RANKS as u64, 1);
@@ -398,84 +383,7 @@ pub fn bench_signals_doc(quick: bool) -> String {
         "ops",
         ops_with_callbacks as f64 - callbacks_run as f64,
     );
-
-    // Notify-latency half: wall clock, wide bands, not committed as a
-    // baseline (strip `notify.*` rows when regenerating `ci/baseline/`).
-    for (mode, thread) in [("thread_off", false), ("thread_on", true)] {
-        let (p50, p99) = notify_latency_ns(thread);
-        b.metric(
-            &format!("notify.{mode}.p50_notify_ns"),
-            "ns",
-            p50 as f64,
-            5.0,
-            1e7,
-        );
-        b.metric(
-            &format!("notify.{mode}.p99_notify_ns"),
-            "ns",
-            p99 as f64,
-            5.0,
-            1e7,
-        );
-    }
     b.finish()
-}
-
-/// Measure wall-clock issue→continuation latency for a cross-node
-/// `rput_with(as_callback)`, without or with the background progress
-/// thread. Rank 0 issues one put at a time to a rank on the other node
-/// and waits for its continuation to fire: by spinning in `progress` when
-/// the rank itself must drive completion, or by *sleeping* when the
-/// progress thread is responsible — the measured gap is then pure
-/// notification latency with zero rank-side polling. The remaining ranks
-/// sit in the closing barrier, which drives progress while waiting.
-/// Returns `(p50, p99)` in nanoseconds.
-fn notify_latency_ns(progress_thread: bool) -> (u64, u64) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    const SAMPLES: usize = 64;
-    let results = upcr::launch(
-        upcr::RuntimeConfig::udp(simtest::RANKS, simtest::RANKS_PER_NODE)
-            .with_segment_size(1 << 16)
-            .with_progress_thread(progress_thread),
-        move |u| {
-            let mine = u.new_array::<u64>(SAMPLES);
-            // Rank 2 lives on the other node: every put rides the conduit.
-            let target = u.broadcast(mine, 2);
-            u.barrier();
-            let mut lat = Vec::new();
-            if u.rank_me() == 0 {
-                for i in 0..SAMPLES {
-                    let done = Arc::new(AtomicU64::new(0));
-                    let d = Arc::clone(&done);
-                    let t0 = std::time::Instant::now();
-                    u.rput_with(
-                        i as u64,
-                        target.add(i),
-                        upcr::operation_cx::as_callback(move |_: ()| {
-                            d.store(1, Ordering::Release);
-                        }),
-                    );
-                    while done.load(Ordering::Acquire) == 0 {
-                        if progress_thread {
-                            std::thread::sleep(std::time::Duration::from_micros(20));
-                        } else {
-                            u.progress();
-                        }
-                    }
-                    lat.push(t0.elapsed().as_nanos() as u64);
-                }
-            }
-            u.barrier();
-            lat
-        },
-    );
-    let mut lat = results
-        .into_iter()
-        .find(|l| !l.is_empty())
-        .expect("rank 0 measured");
-    lat.sort_unstable();
-    (lat[lat.len() / 2], lat[lat.len() * 99 / 100])
 }
 
 /// `BENCH_causal.json`: the cross-rank causal-tracing suite. Probes every
@@ -605,30 +513,6 @@ pub fn bench_matching_doc(quick: bool) -> String {
     b.finish()
 }
 
-/// `BENCH_trace_overhead.json`: wall-clock ns/op for the observability
-/// overhead series. Machine-dependent — wide bands, never committed as a
-/// gating baseline.
-pub fn trace_overhead_doc(
-    iters: u64,
-    baseline_ns: f64,
-    trace_off_ns: f64,
-    trace_on_ns: f64,
-    metrics_off_ns: f64,
-    metrics_on_ns: f64,
-) -> String {
-    let mut b = DocBuilder::new("trace_overhead", "wall", 0, 2, iters);
-    for (name, v) in [
-        ("rput.baseline_ns", baseline_ns),
-        ("rput.trace_off_ns", trace_off_ns),
-        ("rput.trace_on_ns", trace_on_ns),
-        ("rput.metrics_off_ns", metrics_off_ns),
-        ("rput.metrics_on_ns", metrics_on_ns),
-    ] {
-        b.metric(name, "ns", v, 0.25, 5.0);
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,45 +580,14 @@ mod tests {
 
     #[test]
     fn signals_doc_is_deterministic_and_pins_zero_parked_polls() {
-        // The wall-clock `notify.*` rows are real time and cannot replay
-        // byte-identically; everything else must.
-        let stable = |doc: &str| {
-            let d = parse_bench(doc).expect("emitted doc must parse");
-            d.metrics
-                .into_iter()
-                .filter(|m| !m.name.starts_with("notify."))
-                .collect::<Vec<_>>()
-        };
         let a = bench_signals_doc(true);
-        assert_eq!(
-            stable(&a),
-            stable(&bench_signals_doc(true)),
-            "deterministic signal rows must be replayable"
-        );
+        assert_eq!(a, bench_signals_doc(true), "signals doc must be replayable");
         let d = parse_bench(&a).expect("emitted doc must parse");
         assert_eq!(d.suite, "signals");
-        for m in &d.metrics {
-            if m.name.starts_with("notify.") {
-                // Informational wall-clock rows carry wide bands and are
-                // never committed to the baseline.
-                assert!(m.tol_rel > 0.0 && m.tol_abs > 0.0, "{}", m.name);
-                assert!(m.name.contains("_notify_ns"), "{}", m.name);
-            } else {
-                assert!(m.tol_rel == 0.0 && m.tol_abs == 0.0, "{}", m.name);
-            }
-        }
-        // Both progress-thread modes contributed latency quantiles.
-        for mode in ["thread_off", "thread_on"] {
-            for q in ["p50", "p99"] {
-                let name = format!("notify.{mode}.{q}_notify_ns");
-                let row = d
-                    .metrics
-                    .iter()
-                    .find(|m| m.name == name)
-                    .unwrap_or_else(|| panic!("missing metric {name}"));
-                assert!(row.value > 0.0, "{name} must be a real latency");
-            }
-        }
+        assert!(d
+            .metrics
+            .iter()
+            .all(|m| m.tol_rel == 0.0 && m.tol_abs == 0.0));
         let val = |name: &str| {
             d.metrics
                 .iter()
@@ -799,13 +652,5 @@ mod tests {
             .iter()
             .any(|m| m.name == "v2021_3_6_defer.mean_chain_eager_milli"));
         assert!(val("v2021_3_6_eager.mean_chain_eager_milli") > 0.0);
-    }
-
-    #[test]
-    fn trace_overhead_doc_carries_wide_bands() {
-        let d = parse_bench(&trace_overhead_doc(100, 50.0, 51.0, 80.0, 50.5, 60.0)).unwrap();
-        assert_eq!(d.suite, "trace_overhead");
-        assert_eq!(d.metrics.len(), 5);
-        assert!(d.metrics.iter().all(|m| m.tol_rel > 0.0));
     }
 }

@@ -1,14 +1,12 @@
 //! Shared measurement harness for the paper's figures.
 //!
-//! Each figure has a module that produces its data series; the Criterion
-//! benches and the `figures` binary both drive these, so the printed tables
-//! and the benchmark timings come from the same code paths.
+//! Each figure has a module that produces its data series; the `figures`
+//! binary drives them and prints the tables EXPERIMENTS.md records.
 
 use std::time::{Duration, Instant};
 
-use upcr::{launch, LibVersion, NetConfig, Rank, RuntimeConfig, Upcr};
+use upcr::{launch, LibVersion, NetConfig, RuntimeConfig, Upcr};
 
-pub mod criterion;
 pub mod emit;
 pub mod regress;
 
@@ -69,13 +67,15 @@ pub mod micro {
     ///
     /// Runs 2 SMP ranks: rank 0 initiates against rank 1's segment (a
     /// co-located process, reached via shared-memory bypass); rank 1 sits in
-    /// the exit barrier.
-    pub fn run(version: LibVersion, op: MicroOp, iters: u64) -> Duration {
+    /// the exit barrier. `setup` runs on every rank before anything else,
+    /// e.g. to switch an instrument on.
+    pub fn run(version: LibVersion, op: MicroOp, iters: u64, setup: fn(&Upcr)) -> Duration {
         assert!(op.available_in(version), "{op:?} unavailable in {version}");
         let rt = RuntimeConfig::smp(2)
             .with_version(version)
             .with_segment_size(1 << 16);
         let out = launch(rt, move |u| {
+            setup(u);
             let mine = u.new_::<u64>(0);
             let result = u.new_::<u64>(0);
             let targets: Vec<_> = (0..2).map(|r| u.broadcast(mine, r)).collect();
@@ -128,8 +128,8 @@ pub mod micro {
     }
 
     /// Nanoseconds per operation, averaged over `iters`.
-    pub fn ns_per_op(version: LibVersion, op: MicroOp, iters: u64) -> f64 {
-        run(version, op, iters).as_nanos() as f64 / iters as f64
+    pub fn ns_per_op(version: LibVersion, op: MicroOp, iters: u64, setup: fn(&Upcr)) -> f64 {
+        run(version, op, iters, setup).as_nanos() as f64 / iters as f64
     }
 }
 
@@ -168,85 +168,63 @@ pub mod offnode {
         });
         out[0].as_nanos() as f64 / iters as f64
     }
-}
 
-/// Tracing-overhead measurement for the observability subsystem: the same
-/// local eager `rput` hot loop as [`micro::run`] with [`MicroOp::Put`]
-/// (the pre-tracing baseline code path — tracing off is the default), but
-/// with the per-rank trace flag set explicitly. The acceptance criterion
-/// is that the disabled-mode loop stays within noise (< 3%) of the
-/// baseline: every instrumentation site gates on one predictably-taken
-/// branch, so `tracing=false` and the baseline must be indistinguishable.
-///
-/// [`MicroOp::Put`]: micro::MicroOp::Put
-pub mod trace_overhead {
-    use super::*;
-
-    /// Time `iters` local eager `rput().wait()` operations with the trace
-    /// flag set to `tracing`, returning rank 0's loop wall time.
-    pub fn rput_loop(tracing: bool, iters: u64) -> Duration {
-        let rt = RuntimeConfig::smp(2)
-            .with_version(LibVersion::V2021_3_6Eager)
-            .with_segment_size(1 << 16);
-        let out = launch(rt, move |u| {
-            u.trace_enabled(tracing);
-            let mine = u.new_::<u64>(0);
-            let targets: Vec<_> = (0..2).map(|r| u.broadcast(mine, r)).collect();
-            let target = targets[1 - u.rank_me()];
-            u.barrier();
-            let mut elapsed = Duration::ZERO;
-            if u.rank_me() == 0 {
-                let t0 = Instant::now();
-                for i in 0..iters {
-                    u.rput(i, target).wait();
+    /// Measure wall-clock issue→continuation latency for a cross-node
+    /// `rput_with(as_callback)`, without or with the background progress
+    /// thread. Rank 0 of 4 ranks on 2 simulated nodes issues one put at a
+    /// time to a rank on the other node and waits for its continuation to
+    /// fire: by spinning in `progress` when the rank itself must drive
+    /// completion, or by *sleeping* 20 µs between checks when the progress
+    /// thread is responsible, so no rank-side polling helps it (that
+    /// series resolves no finer than the sleep). The remaining ranks sit in
+    /// the closing barrier, which drives progress while waiting. Returns
+    /// `(p50, p99)` in nanoseconds over 64 puts.
+    pub fn callback_notify_ns(progress_thread: bool) -> (u64, u64) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        const SAMPLES: usize = 64;
+        let results = launch(
+            RuntimeConfig::udp(4, 2)
+                .with_segment_size(1 << 16)
+                .with_progress_thread(progress_thread),
+            move |u| {
+                let mine = u.new_array::<u64>(SAMPLES);
+                // Rank 2 lives on the other node: every put rides the conduit.
+                let target = u.broadcast(mine, 2);
+                u.barrier();
+                let mut lat = Vec::new();
+                if u.rank_me() == 0 {
+                    for i in 0..SAMPLES {
+                        let done = Arc::new(AtomicU64::new(0));
+                        let d = Arc::clone(&done);
+                        let t0 = Instant::now();
+                        u.rput_with(
+                            i as u64,
+                            target.add(i),
+                            upcr::operation_cx::as_callback(move |_: ()| {
+                                d.store(1, Ordering::Release);
+                            }),
+                        );
+                        while done.load(Ordering::Acquire) == 0 {
+                            if progress_thread {
+                                std::thread::sleep(Duration::from_micros(20));
+                            } else {
+                                u.progress();
+                            }
+                        }
+                        lat.push(t0.elapsed().as_nanos() as u64);
+                    }
                 }
-                elapsed = t0.elapsed();
-            }
-            u.barrier();
-            u.delete_(mine);
-            elapsed
-        });
-        out[0]
-    }
-
-    /// Nanoseconds per operation, averaged over `iters`.
-    pub fn ns_per_op(tracing: bool, iters: u64) -> f64 {
-        rput_loop(tracing, iters).as_nanos() as f64 / iters as f64
-    }
-
-    /// The same loop with the *metric sampling* flag set instead of the
-    /// trace flag: `metrics=false` measures the one disabled-mode branch
-    /// per progress quantum, `metrics=true` adds the per-interval snapshot
-    /// cost. The acceptance criterion mirrors tracing: disabled sampling
-    /// stays within noise of the baseline.
-    pub fn metrics_rput_loop(metrics: bool, iters: u64) -> Duration {
-        let rt = RuntimeConfig::smp(2)
-            .with_version(LibVersion::V2021_3_6Eager)
-            .with_segment_size(1 << 16);
-        let out = launch(rt, move |u| {
-            u.metrics_enabled(metrics);
-            let mine = u.new_::<u64>(0);
-            let targets: Vec<_> = (0..2).map(|r| u.broadcast(mine, r)).collect();
-            let target = targets[1 - u.rank_me()];
-            u.barrier();
-            let mut elapsed = Duration::ZERO;
-            if u.rank_me() == 0 {
-                let t0 = Instant::now();
-                for i in 0..iters {
-                    u.rput(i, target).wait();
-                }
-                elapsed = t0.elapsed();
-            }
-            u.barrier();
-            u.delete_(mine);
-            elapsed
-        });
-        out[0]
-    }
-
-    /// Nanoseconds per operation for the metric-sampling loop.
-    pub fn metrics_ns_per_op(metrics: bool, iters: u64) -> f64 {
-        metrics_rput_loop(metrics, iters).as_nanos() as f64 / iters as f64
+                u.barrier();
+                lat
+            },
+        );
+        let mut lat = results
+            .into_iter()
+            .find(|l| !l.is_empty())
+            .expect("rank 0 measured");
+        lat.sort_unstable();
+        (lat[lat.len() / 2], lat[lat.len() * 99 / 100])
     }
 }
 
@@ -361,5 +339,16 @@ pub const VERSIONS: [LibVersion; 3] = [
     LibVersion::V2021_3_6Eager,
 ];
 
-/// Suppress unused warnings for re-exported Rank in downstream bins.
-pub type _Rank = Rank;
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn callback_notify_quantiles_are_real_latencies() {
+        for thread in [false, true] {
+            let (p50, p99) = super::offnode::callback_notify_ns(thread);
+            assert!(
+                p50 > 0 && p50 <= p99,
+                "thread {thread}: p50 {p50} p99 {p99}"
+            );
+        }
+    }
+}

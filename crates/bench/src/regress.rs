@@ -10,12 +10,10 @@
 //! identification fields (`suite`/`mode`/`seed`/`ranks`/`samples`) must
 //! match exactly so apples are compared to apples.
 //!
-//! Everything the pipeline gates on is produced by deterministic drives
-//! (the virtual-clock probe and the chaos differential harness), so the
-//! committed bands are zero: any byte of drift is a regression. Wall-clock
-//! suites (`trace_overhead`) carry wide bands and are not committed as
-//! baselines — the `regress` binary only gates on files the baseline
-//! directory contains.
+//! Every document is produced by deterministic drives (the virtual-clock
+//! probe, the chaos differential harness, and schedule-independent
+//! outcomes of real runs), so every band is zero: any byte of drift is a
+//! regression.
 
 use upcr::trace::{parse_json, Json};
 

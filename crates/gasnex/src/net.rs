@@ -32,9 +32,9 @@
 //!   first delivers the action and the other is suppressed
 //!   (`dup_suppressed`) — exactly-once execution without caring which copy
 //!   won the race. A duplicate that overtakes its reordered original is
-//!   *promoted* (`dup_promoted`), not swallowed. The receiver-side `acked`
-//!   set holds a message id only between the first and second copy's
-//!   arrival, so it stays bounded by the number of in-flight dup pairs.
+//!   *promoted* (`dup_promoted`), not swallowed. The slot is the only dedup
+//!   state: it lives exactly as long as the pair's two heap entries, so a
+//!   drained wire holds none.
 //! * **Reorder / burst / partition** only shift due times; they can starve
 //!   but never cancel a delivery.
 //!
@@ -54,12 +54,14 @@
 //! Three independent pieces of state, so observers never contend with
 //! delivery: the **clock** is an atomic (`vclock`) or a lock-free `Instant`
 //! read; the **delivery heap** has the only lock the delivery path takes
-//! (plus the dedup set); and **statistics** — including the `reset_stats`
-//! baseline — live entirely in atomics ([`ConduitCore`]), so `now_ns()`
-//! and `stats()` are wait-free with respect to a poll in progress.
+//! (plus a duplicated message's payload slot); and **statistics** —
+//! including the `reset_stats` baseline — live entirely in atomics
+//! ([`ConduitCore`]), so `now_ns()` and `stats()` are wait-free with
+//! respect to a poll in progress.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -292,8 +294,8 @@ enum Payload {
         action: NetAction,
     },
     /// One of the two wire copies of a duplicated transmission. Both copies
-    /// share the payload through `slot`; whichever pops first takes it and
-    /// delivers, the other finds the slot empty and is suppressed.
+    /// share the payload through `slot`; whichever takes it first delivers,
+    /// the other finds the slot empty and is suppressed.
     /// `primary` marks the copy scheduled on the original (possibly
     /// reordered) due time — when the trailing copy wins the race, the
     /// delivery is counted as a promotion.
@@ -312,6 +314,14 @@ struct Delivery {
     due_ns: u64,
     seq: u64,
     payload: Payload,
+}
+
+thread_local! {
+    /// The deliveries one poll pops, kept per thread so a delivering poll
+    /// allocates nothing once the buffer has grown: `poll` takes it before
+    /// popping and puts it back, empty, after the deliveries. A poll nested
+    /// in a delivery action finds it taken and starts an empty one.
+    static DUE: Cell<Vec<Delivery>> = const { Cell::new(Vec::new()) };
 }
 
 impl PartialEq for Delivery {
@@ -344,11 +354,6 @@ pub struct SimNetwork {
     /// message.
     heap_seq: std::sync::atomic::AtomicU64,
     queue: Mutex<BinaryHeap<Reverse<Delivery>>>,
-    /// Receiver-side dedup: ids of duplicated messages whose *first* copy
-    /// has arrived but whose second copy is still in flight. The second
-    /// copy's arrival evicts the id, and non-duplicated messages never
-    /// enter, so the set is bounded by the in-flight dup pairs.
-    acked: Mutex<HashSet<u64>>,
     /// Counters, gauges, baseline, the wire-event sink and the Lamport
     /// clocks — all atomic or independently locked, never touched under
     /// the queue lock's scope in a way an observer would wait on.
@@ -370,7 +375,6 @@ impl SimNetwork {
             vclock: std::sync::atomic::AtomicU64::new(0),
             heap_seq: std::sync::atomic::AtomicU64::new(0),
             queue: Mutex::new(BinaryHeap::new()),
-            acked: Mutex::new(HashSet::new()),
             core: ConduitCore::new(clocks),
         }
     }
@@ -518,12 +522,6 @@ impl SimNetwork {
         }
     }
 
-    /// How many dup-pair ids the receiver-side dedup set currently holds
-    /// (first copy arrived, second still in flight). Bounded by `pending`.
-    pub fn acked_len(&self) -> usize {
-        self.acked.lock().unwrap().len()
-    }
-
     /// Heap entries currently queued (test hook; takes the queue lock).
     pub fn heap_len(&self) -> usize {
         self.queue.lock().unwrap().len()
@@ -602,7 +600,12 @@ impl Conduit for SimNetwork {
                 }
             }
         };
-        let mut due = Vec::new();
+        // Nothing due yet (wall-clock traffic still in flight): leave
+        // without touching the per-thread buffer.
+        if q.peek().is_some_and(|Reverse(d)| d.due_ns > now) {
+            return 0;
+        }
+        let mut due = DUE.take();
         while let Some(Reverse(d)) = q.peek() {
             if d.due_ns > now {
                 break;
@@ -611,7 +614,7 @@ impl Conduit for SimNetwork {
         }
         drop(q); // run actions without holding the lock: they may re-inject
         let n = due.len();
-        for d in due {
+        for d in due.drain(..) {
             match d.payload {
                 Payload::Attempt {
                     msg,
@@ -654,26 +657,13 @@ impl Conduit for SimNetwork {
                     lclock,
                     slot,
                 } => {
-                    // Receiver-side dedup over the two wire copies. The
-                    // first arrival registers the id and takes the payload;
-                    // the second finds the id present, evicts it (keeping
-                    // `acked` bounded by in-flight dup pairs), and is
-                    // suppressed. A trailing copy that overtakes its
-                    // reordered primary is promoted, not swallowed.
-                    let first = {
-                        let mut acked = self.acked.lock().unwrap();
-                        let first = acked.insert(msg);
-                        if !first {
-                            acked.remove(&msg);
-                        }
-                        first
-                    };
-                    if first {
-                        let action = slot
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("first copy holds the payload");
+                    // Receiver-side dedup over the two wire copies: the
+                    // first to take the shared payload delivers it, the
+                    // other finds the slot empty and is suppressed. A
+                    // trailing copy that overtakes its reordered primary
+                    // is promoted, not swallowed.
+                    let taken = slot.lock().unwrap().take();
+                    if let Some(action) = taken {
                         let merged = self.core.lamport_merge(route.map(|(_, t)| t), lclock);
                         self.trace_event(msg, attempt, NetEventKind::Deliver, merged);
                         (action)(world);
@@ -689,6 +679,7 @@ impl Conduit for SimNetwork {
                 }
             }
         }
+        DUE.set(due);
         n
     }
 
@@ -1079,45 +1070,6 @@ mod tests {
         let (order2, stats2) = delivery_schedule(net, 128);
         assert_eq!(order, order2, "promotion is deterministic under a seed");
         assert_eq!(stats, stats2);
-    }
-
-    #[test]
-    fn acked_set_stays_bounded_by_inflight_dup_pairs() {
-        // Satellite regression: the dedup set used to accumulate every
-        // delivered msg id forever. Now an id lives only between the two
-        // copies' arrivals, so at every step acked ≤ pending and the set is
-        // empty once the wire drains.
-        let plan = FaultPlan::seeded(23)
-            .with_drops(150_000)
-            .with_dups(400_000)
-            .with_reorder(300_000, 20_000)
-            .with_retry(2_000, 32_000, 6);
-        let net = NetConfig {
-            latency_ns: 1_000,
-            jitter_ns: 500,
-            ..NetConfig::default()
-        }
-        .with_virtual_clock()
-        .with_faults(plan);
-        let w = world_with_net(net);
-        let n = 512u64;
-        for _ in 0..n {
-            w.net().inject(Box::new(|_| {}));
-        }
-        let mut spins = 0u64;
-        while w.net().delivered() < n || w.net().pending() > 0 {
-            w.net().poll(&w);
-            assert!(
-                sim(&w).acked_len() <= w.net().pending(),
-                "dedup set must stay bounded by in-flight messages"
-            );
-            spins += 1;
-            assert!(spins < 1_000_000, "chaos schedule failed to terminate");
-        }
-        assert_eq!(sim(&w).acked_len(), 0, "drained wire leaves no dedup state");
-        let s = w.net().stats();
-        assert!(s.dup_suppressed > 0, "plan must actually duplicate");
-        assert_eq!(s.delivered, n);
     }
 
     #[test]
