@@ -13,17 +13,17 @@
 #                    contain >=1 eager and >=1 deferred notification event
 #   ./ci.sh bench    benchmark regression gate: regenerate the
 #                    deterministic BENCH_*.json documents and compare them
-#                    against ci/baseline/ with the committed tolerance
-#                    bands; also proves the gate trips on the broken
-#                    fixture for its planted reason (a nonzero exit AND
-#                    the v2021_3_6_eager.put_deferred_count failure line;
-#                    its printed FAIL lines are labelled expected). Then
-#                    runs the wall-clock `figures --quick latency offnode`
-#                    sections (instrument cost, off-node round trip,
-#                    callback notify p50/p99), which must print their
-#                    rows; those numbers are not gated. Set BENCH_OUT to
-#                    keep the generated files (CI uploads them as
-#                    artifacts).
+#                    against ci/baseline/, where every row is pinned
+#                    exactly (zero tolerance); also proves the gate trips
+#                    on the broken fixture for its planted reason (a
+#                    nonzero exit AND the v2021_3_6_eager.put_deferred_count
+#                    failure line; its printed FAIL lines are labelled
+#                    expected). Then runs the wall-clock `figures --quick
+#                    latency offnode` sections (instrument cost on the
+#                    eager and deferred put, off-node round trip, callback
+#                    notify p50/p99), which must print their rows; those
+#                    numbers are not gated. Set BENCH_OUT to keep the
+#                    generated files (CI uploads them as artifacts).
 #   ./ci.sh conduit  conduit-swap gate: the trait-extraction golden suite
 #                    (SimNetwork behind the Conduit trait must reproduce
 #                    pre-refactor digests, counters, and wire traces) plus
@@ -51,9 +51,11 @@
 #                    callback-storm chaos differential under all three
 #                    fault plans with and without the progress thread (a
 #                    strict no-op on the virtual clock), the callback
-#                    drain on the progress thread, and the sim-vs-UDP
-#                    progress-thread smoke (simtest --progress-thread +
-#                    udprun --progress-thread). Timeout-bounded: a lost
+#                    drain on the progress thread for a local op and for
+#                    an off-node one (the latter is
+#                    offnode_callback_runs_on_the_progress_thread_without_rank_polls),
+#                    and the sim-vs-UDP progress-thread smoke (simtest
+#                    --progress-thread + udprun --progress-thread). Timeout-bounded: a lost
 #                    continuation must fail CI, not hang it.
 #   ./ci.sh perf     wall-clock benchmark lint + build + self-tests:
 #                    perfbench/ is its own Cargo workspace, so the other
@@ -159,7 +161,7 @@ case "$job" in
     echo "==> figures --quick latency offnode (wall clock, not gated)"
     wall=$(cargo run -p bench --bin figures --release -q -- --quick latency offnode)
     printf '%s\n' "$wall"
-    for row in "instruments off" "tracing on" "metrics on" "progress thread off" "progress thread on"; do
+    for row in "instruments off" "tracing on" "deferred put" "metrics on" "progress thread off" "progress thread on"; do
       printf '%s\n' "$wall" | grep -q "$row" || { echo "figures printed no '$row' row" >&2; exit 1; }
     done
 
@@ -248,16 +250,18 @@ case "$job" in
     ;;
   continuations)
     # Unit layers first: the callback queue (reentrancy deferral, drain
-    # exclusivity), the completion-object composition, the registration
-    # race, and the wait_signal-in-callback diagnosis panic.
+    # exclusivity), the completion-object composition, and the
+    # wait_signal-in-callback diagnosis panic.
     echo "==> cargo test -p upcr --release callback continuation"
     timeout 180 cargo test -p upcr --release -q callback
     timeout 180 cargo test -p upcr --release -q continuation
 
     # The chaos differential (8 seeds x 3 fault plans, with and without
     # the progress thread — a strict no-op on the virtual clock), the
-    # callback drain on the progress thread, and the sim-vs-UDP agreement
-    # run.
+    # callback drain on the progress thread for a local op and for an
+    # off-node one whose delivery action enqueues the callback
+    # (offnode_callback_runs_on_the_progress_thread_without_rank_polls),
+    # and the sim-vs-UDP agreement run.
     echo "==> cargo test -p simtest --release --test continuations"
     timeout 600 cargo test -p simtest --release -q --test continuations
 

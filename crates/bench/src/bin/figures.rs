@@ -233,7 +233,9 @@ fn matching_mp_comparison(args: &Args) {
 /// should show its completions concentrated on the eager path at ~0
 /// latency; the defer builds push everything through the progress engine.
 /// Then what the instruments cost: the Figure 2 eager local put with
-/// every instrument off (the default), with tracing on, and with metric
+/// every instrument off (the default) and with tracing on, and the
+/// deferred local put, which runs one progress quantum per op and so
+/// reaches the metric sampler, with every instrument off and with metric
 /// sampling on.
 fn latency_histograms(args: &Args) {
     let ranks = args.ranks.clamp(2, 8);
@@ -277,24 +279,29 @@ fn latency_histograms(args: &Args) {
     let iters: u64 = if args.quick { 200_000 } else { 2_000_000 };
     let samples = if args.quick { 1 } else { args.samples };
     println!(
-        "\n  instrument cost, local eager put (2021.3.6 eager, best-half mean of {samples} x {iters} ops):"
+        "\n  instrument cost, local put (best-half mean of {samples} x {iters} ops; \
+         eager put 2021.3.6 eager, deferred put 2021.3.6 defer):"
     );
-    let eager_put = |setup: fn(&upcr::Upcr)| {
+    let put = |version, setup: fn(&upcr::Upcr)| {
         best_half_mean(samples, || {
-            micro::ns_per_op(LibVersion::V2021_3_6Eager, MicroOp::Put, iters, setup)
+            micro::ns_per_op(version, MicroOp::Put, iters, setup)
         })
     };
-    let off = eager_put(|_| {});
-    println!("    instruments off {off:>8.1} ns/op");
-    for (label, on) in [
-        ("tracing on", eager_put(|u| u.trace_enabled(true))),
-        ("metrics on", eager_put(|u| u.metrics_enabled(true))),
-    ] {
-        println!(
-            "    {label:<15} {on:>8.1} ns/op  ({:+.0}%)",
-            100.0 * (on / off - 1.0)
-        );
-    }
+    let off = put(LibVersion::V2021_3_6Eager, |_| {});
+    let tracing = put(LibVersion::V2021_3_6Eager, |u| u.trace_enabled(true));
+    let defer = put(LibVersion::V2021_3_6Defer, |_| {});
+    let metrics = put(LibVersion::V2021_3_6Defer, |u| u.metrics_enabled(true));
+    let pct = |on: f64, base: f64| 100.0 * (on / base - 1.0);
+    println!("    instruments off {off:>8.1} ns/op  eager put");
+    println!(
+        "    tracing on      {tracing:>8.1} ns/op  eager put ({:+.0}%)",
+        pct(tracing, off)
+    );
+    println!("    deferred put    {defer:>8.1} ns/op  no instrument");
+    println!(
+        "    metrics on      {metrics:>8.1} ns/op  deferred put ({:+.0}%)",
+        pct(metrics, defer)
+    );
     println!();
 }
 
@@ -342,8 +349,9 @@ fn causal_profiles(args: &Args) {
 
 fn fig_2_3_4_micro(args: &Args) {
     let iters: u64 = if args.quick { 200_000 } else { 2_000_000 };
+    let samples = if args.quick { 1 } else { args.samples };
     println!("== Figures 2-4: microbenchmarks (ns per operation, on-node target) ==");
-    println!("   paper loop: `op(gp).wait()` x {iters} per cell\n");
+    println!("   paper loop: `op(gp).wait()` x {iters}, best-half mean of {samples} per cell\n");
     println!(
         "{}",
         fmt_row(
@@ -351,25 +359,30 @@ fn fig_2_3_4_micro(args: &Args) {
             &VERSIONS.iter().map(|v| v.to_string()).collect::<Vec<_>>()
         )
     );
-    let ns = |v, op| micro::ns_per_op(v, op, iters, |_| {});
+    let mut measured: Vec<(MicroOp, LibVersion, f64)> = Vec::new();
     for op in MicroOp::ALL {
         let cells: Vec<String> = VERSIONS
             .iter()
             .map(|&v| {
-                if op.available_in(v) {
-                    format!("{:.1} ns", ns(v, op))
-                } else {
-                    "n/a".to_string()
+                if !op.available_in(v) {
+                    return "n/a".to_string();
                 }
+                let ns = best_half_mean(samples, || micro::ns_per_op(v, op, iters, |_| {}));
+                measured.push((op, v, ns));
+                format!("{ns:.1} ns")
             })
             .collect();
         println!("{}", fmt_row(op.name(), &cells));
     }
-    // Headline ratios the paper reports.
-    let put_defer = ns(LibVersion::V2021_3_6Defer, MicroOp::Put);
-    let put_eager = ns(LibVersion::V2021_3_6Eager, MicroOp::Put);
-    let fa_v = ns(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAdd);
-    let fa_m = ns(LibVersion::V2021_3_6Eager, MicroOp::AmoFetchAddInto);
+    // Headline ratios the paper reports, from the table's own cells.
+    let cell = |op, v| {
+        let m = measured.iter().find(|m| m.0 == op && m.1 == v);
+        m.expect("the op exists under the version").2
+    };
+    let put_defer = cell(MicroOp::Put, LibVersion::V2021_3_6Defer);
+    let put_eager = cell(MicroOp::Put, LibVersion::V2021_3_6Eager);
+    let fa_v = cell(MicroOp::AmoFetchAdd, LibVersion::V2021_3_6Eager);
+    let fa_m = cell(MicroOp::AmoFetchAddInto, LibVersion::V2021_3_6Eager);
     println!(
         "\n  eager vs defer put speedup: {:.0}%  (paper: 92-95%)",
         100.0 * (put_defer / put_eager - 1.0)
@@ -516,13 +529,16 @@ fn offnode_validation(args: &Args) {
 
 fn ablations(args: &Args) {
     let n: u64 = if args.quick { 100_000 } else { 1_000_000 };
-    println!("== Ablations: conjoining-loop cost per op (ns), isolating each optimization ==\n");
+    let samples = if args.quick { 1 } else { args.samples };
+    println!("== Ablations: conjoining-loop cost per op (ns), isolating each optimization ==");
+    println!("   best-half mean of {samples} x {n} ops per cell\n");
     for &v in &VERSIONS {
+        let cell = |f: fn(LibVersion, u64) -> f64| best_half_mean(samples, || f(v, n));
         println!(
             "  {v:<18} conjoin loop {:>8.1}  forced-defer {:>8.1}  promise loop {:>8.1}",
-            ablation::conjoin_loop_ns(v, n),
-            ablation::conjoin_loop_forced_defer_ns(v, n),
-            ablation::promise_loop_ns(v, n)
+            cell(ablation::conjoin_loop_ns),
+            cell(ablation::conjoin_loop_forced_defer_ns),
+            cell(ablation::promise_loop_ns)
         );
     }
     println!("\n  conjoin(eager) vs forced-defer isolates eager notification + ready-cell reuse;");

@@ -174,11 +174,12 @@ pub mod offnode {
     /// thread. Rank 0 of 4 ranks on 2 simulated nodes issues one put at a
     /// time to a rank on the other node and waits for its continuation to
     /// fire: by spinning in `progress` when the rank itself must drive
-    /// completion, or by *sleeping* 20 µs between checks when the progress
-    /// thread is responsible, so no rank-side polling helps it (that
-    /// series resolves no finer than the sleep). The remaining ranks sit in
-    /// the closing barrier, which drives progress while waiting. Returns
-    /// `(p50, p99)` in nanoseconds over 64 puts.
+    /// completion, or by spinning on the flag with `yield_now` and no
+    /// progress call when the progress thread is responsible, so no
+    /// rank-side polling helps it and the series times the thread's
+    /// delivery, enqueue and drain. The remaining ranks sit in the closing
+    /// barrier, which drives progress while waiting. Returns `(p50, p99)`
+    /// in nanoseconds over 64 puts.
     pub fn callback_notify_ns(progress_thread: bool) -> (u64, u64) {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
@@ -207,7 +208,7 @@ pub mod offnode {
                         );
                         while done.load(Ordering::Acquire) == 0 {
                             if progress_thread {
-                                std::thread::sleep(Duration::from_micros(20));
+                                std::thread::yield_now();
                             } else {
                                 u.progress();
                             }

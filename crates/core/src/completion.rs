@@ -31,17 +31,19 @@
 use std::any::TypeId;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gasnex::net::NetAction;
-use gasnex::{EventCore, Rank, TokenRoute, World};
+use gasnex::{Rank, World};
 
+use crate::continuation::CallbackQueue;
 use crate::ctx::{Deferred, RankCtx};
 use crate::future::cell::{new_cell, new_cell_with_value};
 use crate::future::future::Future;
 use crate::future::promise::Promise;
 use crate::global_ptr::SegValue;
-use crate::stats::bump;
+use crate::stats::{bump, Stats};
 use crate::trace::{CompletionPath, TraceOp};
 use crate::version::LibVersion;
 
@@ -101,31 +103,121 @@ fn is_unit<V: 'static>() -> bool {
 }
 
 /// How the data movement of an operation completed.
-pub(crate) enum Disp<V: CxValue> {
+pub(crate) enum Disp<'a, V: CxValue> {
     /// Synchronously, during initiation, producing `V` — eligible for eager
     /// notification.
     Sync(V),
-    /// Asynchronously: the op's [`RemoteDone`] signals once its value is
-    /// stored.
-    Async(Arc<RemoteDone<V>>),
+    /// Asynchronously: the op's notifications are filed in its
+    /// [`RemoteDone`] before it is injected.
+    Async(&'a Arc<RemoteDone<V>>),
 }
 
-const POISONED: &str = "a thread panicked while holding an op's completion value";
+const POISONED: &str = "a thread panicked while holding an op's completion record";
 
-/// The completion object of one off-node operation: the value its
-/// delivery action stores, then the token route it fires and the event it
-/// signals. Deferred notifications wait on the route, continuation
-/// callbacks on the event. One allocation per op, whatever `V` is.
+/// [`RemoteDone::slot`] of an op that filed no deferred waiter.
+const NO_WAITER: u64 = u64::MAX;
+
+/// The completion record of one off-node operation, written in full by
+/// its initiator before the operation is injected: the slot of its first
+/// deferred waiter, with that token's trace id, and a sink for its
+/// continuation callbacks. The inject publishes the record to whichever
+/// thread runs the delivery action, which stores the op's value, deposits
+/// the waiter's token in the initiator's ready queue and enqueues the
+/// callbacks. Nothing is written after the inject, so no arm can race
+/// the delivery. One allocation per op, whatever `V` is.
 pub(crate) struct RemoteDone<V> {
-    route: TokenRoute,
-    ev: EventCore,
-    value: Mutex<Option<V>>,
+    initiator: Rank,
+    /// The first deferred waiter's slot, or [`NO_WAITER`]. Later requests
+    /// chain behind that waiter and wake with its token. Relaxed, like
+    /// `trace`: both are stored before the inject, and the conduit's
+    /// hand-off of the action publishes them to the delivering thread.
+    slot: AtomicU64,
+    /// The first deferred waiter's token trace id.
+    trace: AtomicU64,
+    state: Mutex<DoneState<V>>,
 }
 
-impl<V: Clone> RemoteDone<V> {
+/// What the delivery action writes and takes under one lock.
+struct DoneState<V> {
+    /// The op's value, read by its deferred waiters once the token
+    /// surfaces.
+    value: Option<V>,
+    sink: Option<Box<CallbackSink<V>>>,
+}
+
+/// The continuation callbacks of one off-node op, with what the
+/// delivering thread needs to enqueue them on the initiator's behalf.
+struct CallbackSink<V> {
+    callbacks: Vec<Box<dyn FnOnce(V) + Send>>,
+    queue: Arc<CallbackQueue>,
+    stats: Arc<Stats>,
+    top: TraceOp,
+}
+
+impl<V: CxValue> RemoteDone<V> {
+    fn new(initiator: Rank) -> Self {
+        RemoteDone {
+            initiator,
+            slot: AtomicU64::new(NO_WAITER),
+            trace: AtomicU64::new(0),
+            state: Mutex::new(DoneState {
+                value: None,
+                sink: None,
+            }),
+        }
+    }
+
     fn value(&self) -> V {
-        let v = self.value.lock().expect(POISONED).clone();
-        v.expect("operation event signalled before its value was stored")
+        let v = self.state.lock().expect(POISONED).value.clone();
+        v.expect("operation token deposited before its value was stored")
+    }
+
+    /// Record the op's first deferred waiter (initiator, before the
+    /// inject).
+    fn file_token(&self, slot: usize, trace: u64) {
+        self.trace.store(trace, Ordering::Relaxed);
+        self.slot.store(slot as u64, Ordering::Relaxed);
+    }
+
+    /// Add a continuation callback (initiator, before the inject).
+    fn file_callback(&self, ctx: &RankCtx, top: TraceOp, f: Box<dyn FnOnce(V) + Send>) {
+        let mut st = self.state.lock().expect(POISONED);
+        let sink = st.sink.get_or_insert_with(|| {
+            Box::new(CallbackSink {
+                callbacks: Vec::new(),
+                queue: Arc::clone(&ctx.callbacks),
+                stats: Arc::clone(&ctx.stats),
+                top,
+            })
+        });
+        sink.callbacks.push(f);
+    }
+
+    /// The delivery action's half, on the delivering thread: store `v`,
+    /// deposit the first waiter's token, then enqueue the callbacks.
+    fn complete(&self, world: &World, v: V) {
+        let sink = {
+            let mut st = self.state.lock().expect(POISONED);
+            let sink = st.sink.take().map(|sink| (sink, v.clone()));
+            st.value = Some(v);
+            sink
+        };
+        let slot = self.slot.load(Ordering::Relaxed);
+        if slot != NO_WAITER {
+            world.deposit_token(self.initiator, slot, self.trace.load(Ordering::Relaxed));
+        }
+        if let Some((sink, v)) = sink {
+            for f in sink.callbacks {
+                let v = v.clone();
+                // The delivering thread may be mid-drain of this very
+                // queue (a callback issued the op): count the deferral,
+                // exactly as enqueue_callback does on the rank thread.
+                if sink.queue.push(Box::new(move || f(v)), sink.top) {
+                    bump(&sink.stats.callbacks_deferred);
+                }
+            }
+            world.wake_progress();
+        }
     }
 }
 
@@ -143,11 +235,11 @@ pub(crate) enum Wire {
 }
 
 impl RankCtx {
-    /// The off-node half of every communication operation: inject
-    /// `movement` toward `target` over `wire`, and wire `cx`'s
-    /// notifications to its delivery. The delivery action runs
-    /// `movement` on the target side, stores the value it produces, and
-    /// then fires the op's token route and signals its event.
+    /// The off-node half of every communication operation: file `cx`'s
+    /// notifications in the op's completion record, then inject
+    /// `movement` toward `target` over `wire`. The delivery action runs
+    /// `movement` on the target side and completes the record with the
+    /// value it produces.
     pub(crate) fn inject_op<V: CxValue, C: Completions<V>>(
         &self,
         cx: C,
@@ -157,17 +249,16 @@ impl RankCtx {
         movement: impl FnOnce(&World) -> V + Send + 'static,
     ) -> C::Out {
         bump(&self.stats.net_injected);
-        let done = Arc::new(RemoteDone {
-            route: TokenRoute::new(self.me),
-            ev: EventCore::default(),
-            value: Mutex::new(None),
+        let done = Arc::new(RemoteDone::new(self.me));
+        let out = cx.notify(&Notifier {
+            ctx: self,
+            op: Disp::Async(&done),
+            top,
+            waiter: Cell::new(None),
         });
-        let d = Arc::clone(&done);
         let action: NetAction = Box::new(move |w| {
             let v = movement(w);
-            *d.value.lock().expect(POISONED) = Some(v);
-            d.route.fire(w);
-            d.ev.signal();
+            done.complete(w, v);
         });
         match wire {
             Wire::Plain => self.trace_net_inject(top, self.world.net_inject(action)),
@@ -178,12 +269,7 @@ impl RankCtx {
                 self.trace_net_inject(top, msg);
             }
         }
-        cx.notify(&Notifier {
-            ctx: self,
-            op: Disp::Async(done),
-            top,
-            waiter: Cell::new(None),
-        })
+        out
     }
 }
 
@@ -195,14 +281,14 @@ impl RankCtx {
 /// it appears in [`Completions::notify`] signatures.
 pub struct Notifier<'a, V: CxValue> {
     ctx: &'a RankCtx,
-    op: Disp<V>,
+    op: Disp<'a, V>,
     /// The lifecycle-trace span this operation belongs to
     /// ([`TraceOp::NONE`] when tracing is off — recording helpers ignore
     /// it, so untraced operations carry no cost beyond the copy).
     top: TraceOp,
     /// The event-waiter slot of this op's latest deferred request (async
-    /// ops only): the first arms the op's token route, later ones chain
-    /// behind it.
+    /// ops only): the first is filed in the op's completion record, later
+    /// ones chain behind it.
     waiter: Cell<Option<usize>>,
 }
 
@@ -250,7 +336,7 @@ impl<'a, V: CxValue> Notifier<'a, V> {
 
     /// The defer path: run `f` on the op's value from a later progress
     /// quantum — a `Deferred::Now` entry for a synchronous op, an event
-    /// waiter for an in-flight one (the completion token its route
+    /// waiter for an in-flight one (the completion token its delivery
     /// deposits wakes this exact notification; the progress engine never
     /// re-tests the op).
     fn defer(&self, f: impl FnOnce(V) + 'static) {
@@ -268,7 +354,11 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             Disp::Async(done) => {
                 let d = Arc::clone(done);
                 let run = Box::new(move || deliver(d.value()));
-                let slot = self.ctx.await_route(&done.route, self.waiter.get(), run);
+                let after = self.waiter.get();
+                let (slot, trace) = self.ctx.await_token(after, run);
+                if after.is_none() {
+                    done.file_token(slot, trace);
+                }
                 self.waiter.set(Some(slot));
             }
         }
@@ -325,9 +415,9 @@ impl<'a, V: CxValue> Notifier<'a, V> {
     /// version or disposition: a synchronously-completed operation enqueues
     /// onto the rank's callback FIFO (drained by the next progress quantum
     /// or by the background progress thread), and an asynchronous one
-    /// registers an `EventCore` waiter that enqueues at signal time. A
-    /// callback enqueued from inside a running callback joins the live
-    /// drain's FIFO — same quantum, never reentrant.
+    /// files it in the op's completion record, whose delivery action
+    /// enqueues it. A callback enqueued from inside a running callback
+    /// joins the live drain's FIFO — same quantum, never reentrant.
     pub fn op_callback(&self, f: Box<dyn FnOnce(V) + Send>) {
         let top = self.top;
         match &self.op {
@@ -335,23 +425,7 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                 let v = v.clone();
                 self.ctx.enqueue_callback(Box::new(move || f(v)), top);
             }
-            Disp::Async(done) => {
-                let d = Arc::clone(done);
-                let q = Arc::clone(&self.ctx.callbacks);
-                let stats = Arc::clone(&self.ctx.stats);
-                let world = Arc::clone(&self.ctx.world);
-                done.ev.on_signal(move || {
-                    let v = d.value();
-                    // The signalling thread may be mid-drain of this very
-                    // queue (a callback issued the op): count the deferral,
-                    // exactly as enqueue_callback does on the rank thread.
-                    let during_drain = q.push(Box::new(move || f(v)), top);
-                    if during_drain {
-                        bump(&stats.callbacks_deferred);
-                    }
-                    world.wake_progress();
-                });
-            }
+            Disp::Async(done) => done.file_callback(self.ctx, top, f),
         }
     }
 
@@ -739,8 +813,9 @@ mod tests {
 
     #[test]
     fn callback_composes_with_future_on_one_async_op() {
-        // `as_future | as_callback` hangs two waiters off one EventCore;
-        // both complete, and the callback sees the fetched value.
+        // `as_future | as_callback` files a waiter and a callback in one
+        // completion record; both complete, and the callback sees the
+        // fetched value.
         launch(RuntimeConfig::smp(2).with_segment_size(1 << 16), |u| {
             let mine = u.new_::<u64>(u.rank_me() as u64 + 100);
             let peer = u.broadcast(mine, 1);

@@ -17,9 +17,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use gasnex::net::NetAction;
-use gasnex::{
-    Batch, ClockMode, Coalescer, ConduitKind, FlushReason, Push, Rank, TokenRoute, World,
-};
+use gasnex::{Batch, ClockMode, Coalescer, ConduitKind, FlushReason, Push, Rank, World};
 
 use crate::continuation::{Callback, CallbackQueue, WorldShared};
 use crate::future::cell::{shared_ready_unit_cell, Cell};
@@ -46,7 +44,7 @@ pub(crate) struct Waiter {
 ///
 /// In-flight operations are *not* represented here: the signal-driven
 /// engine files them as event waiters whose completion tokens arrive on
-/// the rank's ready queue (see [`RankCtx::await_route`]), so the deferred
+/// the rank's ready queue (see [`RankCtx::await_token`]), so the deferred
 /// queue never holds anything that would need re-polling against an event.
 pub(crate) enum Deferred {
     /// The operation already completed synchronously, but the requested
@@ -68,8 +66,8 @@ pub(crate) struct RankCtx {
     pub deferred: RefCell<VecDeque<Deferred>>,
     /// Notifications of in-flight operations, filed under the slot their
     /// completion token carries through this rank's ready queue. A waiter
-    /// is filed *before* its route is armed, so a token surfacing from the
-    /// ready queue always finds it.
+    /// is filed *before* its operation is injected, so a token surfacing
+    /// from the ready queue always finds it.
     pub event_waiters: RefCell<Slab<Waiter>>,
     pub next_token: StdCell<u64>,
     /// Reusable drain buffer for ready-queue tokens (one allocation per
@@ -299,23 +297,18 @@ impl RankCtx {
         self.note_pending_highwater();
     }
 
-    /// File `f` to be delivered by this rank's progress engine once
-    /// `route` fires, and return its waiter slot. Mints the token's trace
-    /// id, files `f`, then arms `route` with the slot. The waiter is filed
-    /// *before* the route is armed: a route that already fired deposits
-    /// the token on this thread, for the next quantum — exactly the
-    /// poll-scan engine's "deliver at the next progress call" semantics.
+    /// File `f` to be delivered by this rank's progress engine once its
+    /// operation's completion token surfaces from the ready queue, and
+    /// return its waiter slot and the token's trace id (minted from the
+    /// rank's monotonic `next_token`). The caller files both in the op's
+    /// completion record before injecting the op, so the token always
+    /// surfaces at a later quantum, never inline.
     ///
     /// `after` is the slot an earlier request on the same operation
-    /// returned: the route is armed once, so `f` chains behind that
+    /// returned: the op carries one token, so `f` chains behind that
     /// waiter and wakes with its token, still counted as a notification
     /// of its own.
-    pub fn await_route(
-        &self,
-        route: &TokenRoute,
-        after: Option<usize>,
-        f: Box<dyn FnOnce()>,
-    ) -> usize {
+    pub fn await_token(&self, after: Option<usize>, f: Box<dyn FnOnce()>) -> (usize, u64) {
         bump(&self.stats.deferred_enqueued);
         let trace = self.next_token.get();
         self.next_token.set(trace + 1);
@@ -335,10 +328,7 @@ impl RankCtx {
             slot
         };
         self.note_pending_highwater();
-        if after.is_none() {
-            route.arm(&self.world, slot as u64, trace);
-        }
-        slot
+        (slot, trace)
     }
 
     /// Notifications pending on this rank: registered event waiters,
@@ -385,11 +375,12 @@ impl RankCtx {
 
     /// One progress quantum of the signal-driven engine:
     ///
-    /// 1. Drain incoming AMs and network deliveries (which may signal events
-    ///    and thereby deposit completion tokens — including into this rank's
-    ///    own ready queue).
+    /// 1. Drain incoming AMs and network deliveries (whose delivery actions
+    ///    deposit completion tokens — including into this rank's own ready
+    ///    queue).
     /// 2. Drain the ready queue: each token wakes exactly the notification
-    ///    whose event signalled, in signal order — O(ready), not O(pending).
+    ///    of the op that completed, in deposit order — O(ready), not
+    ///    O(pending).
     /// 3. Deliver rank-local deferred entries: `Now` unconditionally,
     ///    `OnCheck` when its predicate holds (the only residual polling,
     ///    used by asynchronous collectives).
@@ -679,49 +670,32 @@ mod tests {
         assert!(ctx.locally_idle());
     }
 
-    /// File `f` on `route` as a lone request.
-    fn await_fn(ctx: &RankCtx, route: &TokenRoute, f: impl FnOnce() + 'static) -> usize {
-        ctx.await_route(route, None, Box::new(f))
+    /// File `f` as a lone request; returns its slot and token trace id.
+    fn await_fn(ctx: &RankCtx, f: impl FnOnce() + 'static) -> (usize, u64) {
+        ctx.await_token(None, Box::new(f))
+    }
+
+    /// Deposit the token of the waiter filed as `(slot, trace)`, as its
+    /// operation's delivery action would.
+    fn deposit(ctx: &RankCtx, (slot, trace): (usize, u64)) {
+        ctx.world.deposit_token(ctx.me, slot as u64, trace);
     }
 
     #[test]
-    fn armed_route_waits_for_fire() {
+    fn filed_waiter_waits_for_its_token() {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
-        let route = TokenRoute::new(ctx.me);
         let hit = Rc::new(StdCell::new(false));
         let h = Rc::clone(&hit);
-        await_fn(&ctx, &route, move || h.set(true));
+        let token = await_fn(&ctx, move || h.set(true));
         ctx.progress_quantum();
-        assert!(!hit.get(), "notification before the route fired");
+        assert!(!hit.get(), "notification before the token was deposited");
         assert!(!ctx.locally_idle(), "a pending waiter is outstanding work");
-        route.fire(&ctx.world);
+        deposit(&ctx, token);
+        assert!(!hit.get(), "a deposit never runs the waiter inline");
         ctx.progress_quantum();
         assert!(hit.get());
         assert!(ctx.locally_idle());
-    }
-
-    #[test]
-    fn fired_route_delivers_next_quantum_not_inline() {
-        let ctx = test_ctx();
-        let _g = CtxGuard::install(Rc::clone(&ctx));
-        let route = TokenRoute::new(ctx.me);
-        route.fire(&ctx.world);
-        assert_eq!(ctx.world.ready_queued(ctx.me), 0, "nothing armed yet");
-        let hit = Rc::new(StdCell::new(false));
-        let h = Rc::clone(&hit);
-        await_fn(&ctx, &route, move || h.set(true));
-        assert!(
-            !hit.get(),
-            "deferred semantics: never inline at registration"
-        );
-        assert_eq!(
-            ctx.world.ready_queued(ctx.me),
-            1,
-            "the arming thread deposits the token"
-        );
-        ctx.progress_quantum();
-        assert!(hit.get());
     }
 
     #[test]
@@ -729,64 +703,66 @@ mod tests {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let route = TokenRoute::new(ctx.me);
+        let mut token = None;
         for i in 0..4 {
             let log = Rc::clone(&log);
             if i == 1 {
-                await_fn(&ctx, &route, move || log.borrow_mut().push(i));
+                token = Some(await_fn(&ctx, move || log.borrow_mut().push(i)));
             } else {
                 ctx.push_deferred(Deferred::Now(Box::new(move || log.borrow_mut().push(i))));
             }
         }
         ctx.progress_quantum();
-        // 1 is blocked on the route; everything else delivered in order.
+        // 1 waits for its token; everything else delivered in order.
         assert_eq!(*log.borrow(), vec![0, 2, 3]);
-        route.fire(&ctx.world);
+        deposit(&ctx, token.unwrap());
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![0, 2, 3, 1]);
     }
 
     #[test]
-    fn wakeups_follow_fire_order_not_arming_order() {
+    fn wakeups_follow_deposit_order_not_filing_order() {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let routes: Vec<_> = (0..4).map(|_| TokenRoute::new(ctx.me)).collect();
-        for (i, route) in routes.iter().enumerate() {
-            let log = Rc::clone(&log);
-            await_fn(&ctx, route, move || log.borrow_mut().push(i));
-        }
-        routes[3].fire(&ctx.world);
-        routes[1].fire(&ctx.world);
+        let tokens: Vec<_> = (0..4)
+            .map(|i| {
+                let log = Rc::clone(&log);
+                await_fn(&ctx, move || log.borrow_mut().push(i))
+            })
+            .collect();
+        deposit(&ctx, tokens[3]);
+        deposit(&ctx, tokens[1]);
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![3, 1]);
-        routes[0].fire(&ctx.world);
-        routes[2].fire(&ctx.world);
+        deposit(&ctx, tokens[0]);
+        deposit(&ctx, tokens[2]);
         ctx.progress_quantum();
         assert_eq!(*log.borrow(), vec![3, 1, 0, 2]);
     }
 
     #[test]
-    fn one_fire_among_many_pending_wakes_exactly_one() {
+    fn one_deposit_among_many_pending_wakes_exactly_one() {
         // The structural claim of the signal-driven engine: with K pending
         // operations and one completed, a quantum delivers that one
         // notification via a ready token — it does not re-test the other K.
         const K: usize = 64;
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
-        let routes: Vec<_> = (0..=K).map(|_| TokenRoute::new(ctx.me)).collect();
         let fired = Rc::new(StdCell::new(0usize));
-        for route in &routes {
-            let f = Rc::clone(&fired);
-            await_fn(&ctx, route, move || f.set(f.get() + 1));
-        }
+        let tokens: Vec<_> = (0..=K)
+            .map(|_| {
+                let f = Rc::clone(&fired);
+                await_fn(&ctx, move || f.set(f.get() + 1))
+            })
+            .collect();
         assert_eq!(ctx.stats.snapshot().pending_highwater, (K + 1) as u64);
-        routes[7].fire(&ctx.world);
+        deposit(&ctx, tokens[7]);
         let before = ctx.stats.snapshot();
         ctx.progress_quantum();
         let d = ctx.stats.snapshot().since(&before);
         assert_eq!(fired.get(), 1);
-        assert_eq!(d.event_wakeups, 1, "exactly the fired op woke");
+        assert_eq!(d.event_wakeups, 1, "exactly the completed op woke");
         assert_eq!(
             d.polls_elided, K as u64,
             "the K pending ops were not re-tested"
@@ -797,9 +773,9 @@ mod tests {
         let d = ctx.stats.snapshot().since(&before);
         assert_eq!(d.event_wakeups, 0);
         assert_eq!(d.polls_elided, K as u64);
-        for (i, route) in routes.iter().enumerate() {
+        for (i, &token) in tokens.iter().enumerate() {
             if i != 7 {
-                route.fire(&ctx.world);
+                deposit(&ctx, token);
             }
         }
         ctx.progress_quantum();
@@ -814,16 +790,14 @@ mod tests {
         let ctx = test_ctx();
         let _g = CtxGuard::install(Rc::clone(&ctx));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let route = TokenRoute::new(ctx.me);
         let (l1, l2) = (Rc::clone(&log), Rc::clone(&log));
-        let first = await_fn(&ctx, &route, move || l1.borrow_mut().push("first"));
-        ctx.await_route(
-            &route,
-            Some(first),
+        let first = await_fn(&ctx, move || l1.borrow_mut().push("first"));
+        ctx.await_token(
+            Some(first.0),
             Box::new(move || l2.borrow_mut().push("second")),
         );
         let before = ctx.stats.snapshot();
-        route.fire(&ctx.world);
+        deposit(&ctx, first);
         assert_eq!(ctx.world.ready_queued(ctx.me), 1, "one token for the op");
         ctx.progress_quantum();
         let d = ctx.stats.snapshot().since(&before);

@@ -11,10 +11,10 @@
 //! `wait_signal` extends the signal-driven wakeup engine from intra-rank
 //! completion tokens to **cross-rank blocking**: under a wall clock the
 //! waiting rank parks its thread on a condvar — zero CPU, zero `progress`
-//! polls — until [`gasnex::EventCore::on_signal`] fires from the badge
-//! post. Parking is bounded by a reservation counter (at most `ranks - 1`
-//! parked at once) so at least one rank always stays awake to drive
-//! conduit progress; a refused reservation, or a virtual-clock world
+//! polls — until the badge post signals its [`gasnex::EventCore`].
+//! Parking is bounded by a reservation counter (at most `ranks - 1` parked
+//! at once) so at least one rank always stays awake to drive conduit
+//! progress; a refused reservation, or a virtual-clock world
 //! (where parking would stall the time-warp and break single-threaded
 //! byte-replayability), falls back to polling and counts each poll in
 //! `polls_while_parked`.

@@ -12,11 +12,10 @@
 //!   flavors; ranks grouped into simulated nodes, where same-node
 //!   access is direct (process-shared memory) and cross-node operations go
 //!   through the network.
-//! * **Events** ([`event::EventCore`], [`event::TokenRoute`]) — the
-//!   completion flag of one in-flight operation, with signal-driven
-//!   waiters, and the index route its completion token takes to the
-//!   initiator. Operations that complete synchronously at initiation, the
-//!   case eager notification builds on, never allocate either.
+//! * **Events** ([`event::EventCore`]) — a one-shot completion flag a
+//!   thread can park on, used by parked `wait_signal` waiters. Off-node
+//!   operations need none: their delivery action deposits a completion
+//!   token in the initiator's ready queue ([`World::deposit_token`]).
 //! * **Active messages** ([`am`]) — handlers executed on the target rank
 //!   during its progress calls, used for RPC and remote completions.
 //! * **Ready queues** ([`mailbox`]) — per-rank multi-producer queues; the
@@ -67,7 +66,7 @@ pub use amo::AmoOp;
 pub use clock::LamportClocks;
 pub use conduit::{udp::UdpConduit, Conduit, ConduitCore, InFlight};
 pub use config::{ClockMode, ConduitKind, FaultPlan, GasnexConfig, NetConfig, Transport};
-pub use event::{EventCore, TokenRoute};
+pub use event::EventCore;
 pub use mailbox::{MpQueue, ReadyQueue};
 pub use net::{FieldClass, NetEventKind, NetStats, NetTraceEvent, SimNetwork};
 pub use notify::{NotifyTable, NotifyWordSnapshot};

@@ -6,7 +6,7 @@
 //! `upcr`'s continuation-callback queues. Any thread may push; one thread
 //! at a time drains (the owning rank during its progress quantum, or the
 //! progress thread holding a callback queue's drain flag), so push order
-//! — which for ready tokens is signal order — is exactly the order the
+//! — which for ready tokens is delivery order — is exactly the order the
 //! drainer observes.
 //!
 //! A `Mutex<VecDeque>` is deliberately chosen over a lock-free list: the
@@ -99,12 +99,12 @@ impl<T> Default for MpQueue<T> {
 }
 
 /// A per-rank ready-notification queue: completion tokens deposited by
-/// [`TokenRoute`](crate::event::TokenRoute)s, drained FIFO by the owning
-/// rank.
+/// delivery actions ([`World::deposit_token`](crate::world::World::deposit_token)),
+/// drained FIFO by the owning rank.
 ///
-/// The token is the slot of the waiter the initiating rank filed when it
-/// armed the route; the rank runs that waiter when the token surfaces
-/// here.
+/// The token is the slot of the waiter the initiating rank filed before
+/// it injected the operation; the rank runs that waiter when the token
+/// surfaces here.
 pub type ReadyQueue = MpQueue<u64>;
 
 #[cfg(test)]

@@ -90,16 +90,16 @@ pub enum NetEventKind {
     /// A duplicated wire copy was discarded by receiver-side dedup.
     DupDiscard,
     /// An initiator-side completion token was deposited in a rank's ready
-    /// queue by its `TokenRoute` (recorded by the depositing thread, not by
-    /// the conduit).
+    /// queue by the op's delivery action (`World::deposit_token`, recorded
+    /// by the depositing thread, not by the conduit).
     Signal { rank: u32, token: u64 },
 }
 
 /// One wire-level trace record. `msg` is the logical message id returned by
 /// [`Conduit::inject_to`], which lets core-level operation traces correlate
 /// their `NetInject` events with the retries and delivery seen down here.
-/// `Signal` events use `msg = u64::MAX` (they belong to an event core, not
-/// a wire message).
+/// `Signal` events use `msg = u64::MAX` (they belong to a ready-queue
+/// deposit, not a wire message).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetTraceEvent {
     /// Timestamp from the conduit clock (wall or virtual, per `ClockMode`).

@@ -26,7 +26,7 @@ pub struct World {
     am: AmQueues,
     net: Box<dyn Conduit>,
     /// Per-rank ready-notification queues: completion tokens deposited by
-    /// [`TokenRoute`](crate::event::TokenRoute)s, drained FIFO by the
+    /// delivery actions ([`World::deposit_token`]), drained FIFO by the
     /// owning rank during its progress quantum.
     ready: Box<[ReadyQueue]>,
     /// The team of all ranks.
@@ -241,11 +241,12 @@ impl World {
     }
 
     /// Deposit the completion token `slot` in `initiator`'s ready queue.
-    /// The second of a [`TokenRoute`](crate::event::TokenRoute)'s arm and
-    /// fire calls does this, on its own thread. Tokens surface at the
-    /// initiator's next ready-queue drain in deposit order. The deposit is
-    /// traced as a `Signal` event carrying `trace`, the token's trace id.
-    pub(crate) fn deposit_token(&self, initiator: Rank, slot: u64, trace: u64) {
+    /// An off-node operation's delivery action does this, on whichever
+    /// thread delivers it; `slot` names the waiter the initiator filed
+    /// before injecting the operation. Tokens surface at the initiator's
+    /// next ready-queue drain in deposit order. The deposit is traced as a
+    /// `Signal` event carrying `trace`, the token's trace id.
+    pub fn deposit_token(&self, initiator: Rank, slot: u64, trace: u64) {
         // Lamport stamp for the signal routing: a local event on the
         // initiator's clock (the rank whose ready queue receives the
         // token), ordered before the Wakeup the drain will record.
@@ -471,33 +472,20 @@ mod tests {
     }
 
     #[test]
-    fn token_routes_deliver_in_fire_order() {
-        use crate::event::TokenRoute;
+    fn tokens_surface_at_their_rank_in_deposit_order() {
         let w = World::new(GasnexConfig::smp(2).with_segment_size(1 << 12));
-        let routes: Vec<_> = (0..4).map(|_| TokenRoute::new(Rank(0))).collect();
-        for (i, r) in routes.iter().enumerate() {
-            r.arm(&w, i as u64, 100 + i as u64);
+        // Deposit out of slot order; slots must surface in deposit order.
+        for slot in [2, 0, 3] {
+            w.deposit_token(Rank(0), slot, 100 + slot);
         }
-        assert_eq!(w.ready_queued(Rank(0)), 0, "arming deposits nothing");
-        // Fire out of arming order; slots must surface in fire order.
-        routes[2].fire(&w);
-        routes[0].fire(&w);
-        routes[3].fire(&w);
+        w.deposit_token(Rank(1), 99, 7);
         let mut out = Vec::new();
         assert_eq!(w.drain_ready(Rank(0), &mut out), 3);
         assert_eq!(out, vec![2, 0, 3]);
-        routes[1].fire(&w);
+        assert_eq!(w.ready_queued(Rank(0)), 0);
+        w.deposit_token(Rank(0), 1, 101);
         assert_eq!(w.ready_queued(Rank(0)), 1);
-        // Arming a route that already fired deposits on the arming thread,
-        // into the initiator's queue.
-        let late = TokenRoute::new(Rank(1));
-        late.fire(&w);
-        assert_eq!(
-            w.ready_queued(Rank(1)),
-            0,
-            "an unarmed fire deposits nothing"
-        );
-        late.arm(&w, 99, 7);
+        // Another rank's deposit lands in its own queue only.
         out.clear();
         assert_eq!(w.drain_ready(Rank(1), &mut out), 1);
         assert_eq!(out, vec![99]);

@@ -165,74 +165,41 @@ fn collectives_oversubscribed_stress() {
 }
 
 #[test]
-fn token_routes_racing_across_threads_never_lose_or_duplicate_tokens() {
-    // K producers each own a run of token routes into the per-rank
-    // ReadyQueues. One thread arms the run and another fires it, both in
-    // order under seeded yield schedules. A seeded order, shared by the
-    // two threads, makes each route arm first, fire first, or race freely,
-    // so both deposit paths run on every producer: whichever of the arm
-    // and the fire comes second deposits the token. Concurrent per-rank
-    // drainers must observe every token exactly once, at its designated
-    // rank, with each producer's per-rank subsequence in completion order
-    // (a route completes at the later of its arm and fire, and both
-    // threads walk the run in order), and the number of tokens delivered
-    // must equal the number of routes fired.
-    use gasnex::TokenRoute;
+fn token_deposits_racing_across_threads_never_lose_or_duplicate_tokens() {
+    // The ready-queue MPSC every off-node delivery action feeds: K
+    // producer threads each deposit a run of completion tokens into the
+    // per-rank ReadyQueues with `World::deposit_token`, in order and under
+    // seeded yield schedules, while one drainer per rank empties its queue
+    // concurrently. Every token must surface exactly once, at its
+    // designated rank, with each producer's per-rank subsequence in
+    // deposit order, and the drainers must end with nothing queued.
     use graphgen::SeededRng;
-    use std::sync::atomic::AtomicU8;
     use std::sync::Mutex;
 
     const PRODUCERS: u64 = 4;
     const PER: u64 = 400;
     const RANKS: usize = 4;
-    const ARMED: u8 = 1;
-    const FIRED: u8 = 2;
     let w = World::new(GasnexConfig::smp(RANKS).with_segment_size(1 << 12));
     let rank_of = |token: u64| Rank((token % RANKS as u64) as u32);
-    let runs: Vec<Vec<(TokenRoute, AtomicU8)>> = (0..PRODUCERS)
-        .map(|p| {
-            (p * PER..(p + 1) * PER)
-                .map(|token| (TokenRoute::new(rank_of(token)), AtomicU8::new(0)))
-                .collect()
-        })
-        .collect();
-    let sides_done = AtomicU64::new(0);
-    let routes_fired = AtomicU64::new(0);
+    let producers_done = AtomicU64::new(0);
     let drained: Vec<Mutex<Vec<u64>>> = (0..RANKS).map(|_| Mutex::new(Vec::new())).collect();
 
     std::thread::scope(|s| {
-        for (p, run) in (0..PRODUCERS).zip(&runs) {
-            for fire in [false, true] {
-                let (w, sides_done, routes_fired) = (&w, &sides_done, &routes_fired);
-                s.spawn(move || {
-                    let mut order = SeededRng::seed_from_u64(0xC4A05 ^ p);
-                    let mut yields = SeededRng::seed_from_u64(0x5EED ^ p ^ u64::from(fire) << 32);
-                    let (mine, theirs) = if fire { (FIRED, ARMED) } else { (ARMED, FIRED) };
-                    for (token, (route, stage)) in (p * PER..).zip(run) {
-                        // 0: arm first, 1: fire first, 2: race.
-                        let first = [ARMED, FIRED, 0][order.below(3)];
-                        if first == theirs {
-                            while stage.load(Ordering::Acquire) & theirs == 0 {
-                                std::thread::yield_now();
-                            }
-                        }
-                        if fire {
-                            route.fire(w);
-                            routes_fired.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            route.arm(w, token, token);
-                        }
-                        stage.fetch_or(mine, Ordering::Release);
-                        if yields.below(4) == 0 {
-                            std::thread::yield_now();
-                        }
+        for p in 0..PRODUCERS {
+            let (w, producers_done) = (&w, &producers_done);
+            s.spawn(move || {
+                let mut yields = SeededRng::seed_from_u64(0x5EED ^ p);
+                for token in p * PER..(p + 1) * PER {
+                    w.deposit_token(rank_of(token), token, token);
+                    if yields.below(4) == 0 {
+                        std::thread::yield_now();
                     }
-                    sides_done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+                }
+                producers_done.fetch_add(1, Ordering::SeqCst);
+            });
         }
         for rk in 0..RANKS {
-            let (w, sides_done, drained) = (&w, &sides_done, &drained);
+            let (w, producers_done, drained) = (&w, &producers_done, &drained);
             s.spawn(move || {
                 let me = Rank(rk as u32);
                 let mut got = Vec::new();
@@ -240,10 +207,10 @@ fn token_routes_racing_across_threads_never_lose_or_duplicate_tokens() {
                 loop {
                     w.drain_ready(me, &mut buf);
                     got.append(&mut buf);
-                    // All deposits happen-before their side's done bump, so
-                    // once both sides of every run are done an empty queue
+                    // Every deposit happens-before its producer's done
+                    // bump, so once all producers are done an empty queue
                     // is final.
-                    if sides_done.load(Ordering::SeqCst) == 2 * PRODUCERS && w.ready_queued(me) == 0
+                    if producers_done.load(Ordering::SeqCst) == PRODUCERS && w.ready_queued(me) == 0
                     {
                         break;
                     }
@@ -270,16 +237,11 @@ fn token_routes_racing_across_threads_never_lose_or_duplicate_tokens() {
             let p = (token / PER) as usize;
             assert!(
                 last_per_producer[p].is_none_or(|prev| prev < token),
-                "producer {p}'s tokens out of completion order at rank {rk}"
+                "producer {p}'s tokens out of deposit order at rank {rk}"
             );
             last_per_producer[p] = Some(token);
         }
     }
-    assert_eq!(
-        total,
-        routes_fired.load(Ordering::SeqCst),
-        "tokens delivered must equal routes fired"
-    );
     assert_eq!(total, PRODUCERS * PER, "no token may be lost");
     for rk in 0..RANKS {
         assert_eq!(w.ready_queued(Rank(rk as u32)), 0);

@@ -165,3 +165,42 @@ fn callbacks_drain_on_the_progress_thread_without_rank_polls() {
         u.barrier();
     });
 }
+
+#[test]
+fn offnode_callback_runs_on_the_progress_thread_without_rank_polls() {
+    // The off-node counterpart of the drain test above: the callback of
+    // an op whose delivery runs on another thread is enqueued by the
+    // delivery action itself, on the initiator's behalf, and the progress
+    // thread runs it while the initiator sleeps without one progress call.
+    let rt = RuntimeConfig::udp(2, 1)
+        .with_segment_size(1 << 14)
+        .with_progress_thread(true);
+    launch(rt, move |u| {
+        let word = u.broadcast(u.new_::<u64>(0), 1);
+        u.barrier();
+        if u.rank_me() == 0 {
+            let hit = Arc::new(AtomicBool::new(false));
+            let h = Arc::clone(&hit);
+            let before = u.stats();
+            u.rput_with(
+                9u64,
+                word,
+                upcr::operation_cx::as_callback(move |_: ()| {
+                    h.store(true, Ordering::Release);
+                }),
+            );
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !hit.load(Ordering::Acquire) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the off-node callback never ran"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let d = u.stats().since(&before);
+            assert_eq!(d.progress_calls, 0, "rank 0 made no progress call");
+            assert_eq!(d.callbacks_run, 1, "the progress thread ran the callback");
+        }
+        u.barrier();
+    });
+}
