@@ -12,16 +12,17 @@
 #                    on; the exported Chrome-trace JSON must parse and
 #                    contain >=1 eager and >=1 deferred notification event
 #   ./ci.sh bench    benchmark regression gate: regenerate the
-#                    deterministic BENCH_*.json documents and compare them
-#                    against ci/baseline/, where every row is pinned
-#                    exactly (zero tolerance); also proves the gate trips
-#                    on the broken fixture for its planted reason (a
-#                    nonzero exit AND the v2021_3_6_eager.put_deferred_count
-#                    failure line; its printed FAIL lines are labelled
-#                    expected). Then runs the wall-clock `figures --quick
-#                    latency offnode` sections (instrument cost on the
-#                    eager and deferred put, off-node round trip, callback
-#                    notify p50/p99), which must print their rows; those
+#                    deterministic bench.v2 BENCH_*.json documents and
+#                    compare them against ci/baseline/, where every row
+#                    must match exactly (rows carry no tolerance); also
+#                    proves the gate trips on the broken fixture for its
+#                    planted reason (a nonzero exit AND the
+#                    v2021_3_6_eager.put_deferred_count failure line; its
+#                    printed FAIL lines are labelled expected). Then
+#                    runs the wall-clock `figures --quick latency
+#                    offnode` sections (instrument cost on the eager and
+#                    deferred put, off-node round trip, callback notify
+#                    p50/p99), which must print their rows; those
 #                    numbers are not gated. Set BENCH_OUT to keep the
 #                    generated files (CI uploads them as artifacts).
 #   ./ci.sh conduit  conduit-swap gate: the trait-extraction golden suite
@@ -102,7 +103,7 @@ case "$job" in
   chaos)
     # Network-layer chaos regressions first (dup-promotion races,
     # exactly-once dedup, pending/heap invariants), then the harness
-    # sweep: the seed list lives in crates/simtest/tests/differential.rs;
+    # sweep: the seed list is simtest::SEEDS (crates/simtest/src/lib.rs);
     # every workload runs under every seed x fault plan for both
     # notification modes (with and without aggregation), and the whole
     # sweep must stay well under two minutes.

@@ -20,9 +20,9 @@
 //! `--json` switches to benchmark-pipeline mode: instead of regenerating
 //! the wall-clock figures it writes one `BENCH_<section>.json` per section
 //! (e.g. `BENCH_micro.json`, the virtual-clock probe per library version)
-//! — the `bench.v1` documents the `regress` binary gates against
+//! — the `bench.v2` documents the `regress` binary gates against
 //! `ci/baseline/`. Every one is byte-deterministic for a fixed mode, so CI
-//! commits them as zero-tolerance baselines.
+//! commits them as baselines that a run must match exactly.
 //!
 //! Output sections correspond to: Figures 2–4 (microbenchmarks), Figures
 //! 5–7 (GUPS), Figure 8 (graph matching), the §IV-A off-node validation
@@ -169,7 +169,7 @@ fn main() {
     }
 }
 
-/// Benchmark-pipeline mode: write the deterministic `bench.v1` documents
+/// Benchmark-pipeline mode: write the deterministic `bench.v2` documents
 /// the regression gate compares against `ci/baseline/`.
 fn emit_bench_json(args: &Args) {
     std::fs::create_dir_all(&args.out_dir)

@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Every `BENCH_*.json` in the baseline directory must exist in the
-//! current directory and pass [`bench::regress::compare`] under the
-//! baseline's tolerance bands; any regression, missing file, or missing
-//! metric exits nonzero. Files only the current directory has are
+//! current directory and pass [`bench::regress::compare`]: every baseline
+//! row must be present and equal. Any changed row, missing file, or
+//! missing metric exits nonzero. Files only the current directory has are
 //! reported but not gated.
 
 use std::path::{Path, PathBuf};
@@ -107,10 +107,7 @@ fn main() -> ExitCode {
         };
         let report = compare(&base, &cur);
         if report.passed() {
-            println!(
-                "PASS {name}: {} metrics within the baseline bands",
-                report.checked
-            );
+            println!("PASS {name}: {} metrics match the baseline", report.checked);
         } else {
             failed = true;
             eprintln!("FAIL {name} ({} metrics checked):", report.checked);

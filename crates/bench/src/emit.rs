@@ -1,7 +1,7 @@
-//! Benchmark result emission (`bench.v1` documents).
+//! Benchmark result emission (`bench.v2` documents).
 //!
-//! Two gated suites, both produced by *deterministic* drives so the
-//! committed baselines carry zero-width tolerance bands:
+//! Two gated suites, both produced by *deterministic* drives so every
+//! committed baseline row is exact:
 //!
 //! * **micro** — the single-threaded virtual-clock probe
 //!   ([`upcr::metrics::probe`]) per library version under a seeded chaos
@@ -15,7 +15,7 @@
 //!   state, fault fates a pure hash of `(seed, msg, attempt)` over a
 //!   fixed message-id set).
 
-use simtest::Workload;
+use simtest::{Outcome, Setup, Workload};
 use upcr::metrics::probe::{run as probe_run, ProbeConfig};
 use upcr::LibVersion;
 
@@ -50,7 +50,7 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Incremental `bench.v1` document writer with fixed field order.
+/// Incremental `bench.v2` document writer with fixed field order.
 pub struct DocBuilder {
     head: String,
     metrics: Vec<String>,
@@ -67,11 +67,10 @@ impl DocBuilder {
         }
     }
 
-    /// Add an exactly-reproducible metric (zero tolerance band).
+    /// Add an exactly-reproducible metric.
     pub fn exact(&mut self, name: &str, unit: &str, value: f64) {
         self.metrics.push(format!(
-            "{{\"name\":\"{name}\",\"unit\":\"{unit}\",\"value\":{},\
-             \"tol_rel\":0,\"tol_abs\":0}}",
+            "{{\"name\":\"{name}\",\"unit\":\"{unit}\",\"value\":{}}}",
             fmt_num(value)
         ));
     }
@@ -83,6 +82,31 @@ impl DocBuilder {
         out.push_str("\n]}\n");
         out
     }
+}
+
+/// The seven schedule-independent rows of one harness [`Outcome`] under
+/// `key`: the digest (split so both halves stay exact in the JSON number
+/// space), the completion count and the reliability counters.
+fn outcome_rows(b: &mut DocBuilder, key: &str, o: &Outcome) {
+    b.exact(&format!("{key}.digest_hi"), "hash", (o.digest >> 32) as f64);
+    b.exact(
+        &format!("{key}.digest_lo"),
+        "hash",
+        (o.digest & 0xFFFF_FFFF) as f64,
+    );
+    b.exact(&format!("{key}.completions"), "ops", o.completions as f64);
+    b.exact(&format!("{key}.injected"), "msgs", o.injected as f64);
+    b.exact(&format!("{key}.retries"), "msgs", o.retries as f64);
+    b.exact(
+        &format!("{key}.drops_injected"),
+        "msgs",
+        o.drops_injected as f64,
+    );
+    b.exact(
+        &format!("{key}.dup_suppressed"),
+        "msgs",
+        o.dup_suppressed as f64,
+    );
 }
 
 /// `BENCH_micro.json`: probe every library version under one seeded chaos
@@ -154,27 +178,10 @@ pub fn bench_gups_doc(quick: bool) -> String {
     for &w in workloads {
         for &version in &VERSIONS {
             let o = simtest::run(w, version, seed, Some(plan));
-            let key = format!("{}.{}", w.name(), version_slug(version));
-            // The digest is 64-bit; split so both halves stay exact in the
-            // JSON number space.
-            b.exact(&format!("{key}.digest_hi"), "hash", (o.digest >> 32) as f64);
-            b.exact(
-                &format!("{key}.digest_lo"),
-                "hash",
-                (o.digest & 0xFFFF_FFFF) as f64,
-            );
-            b.exact(&format!("{key}.completions"), "ops", o.completions as f64);
-            b.exact(&format!("{key}.injected"), "msgs", o.injected as f64);
-            b.exact(&format!("{key}.retries"), "msgs", o.retries as f64);
-            b.exact(
-                &format!("{key}.drops_injected"),
-                "msgs",
-                o.drops_injected as f64,
-            );
-            b.exact(
-                &format!("{key}.dup_suppressed"),
-                "msgs",
-                o.dup_suppressed as f64,
+            outcome_rows(
+                &mut b,
+                &format!("{}.{}", w.name(), version_slug(version)),
+                &o,
             );
         }
     }
@@ -185,14 +192,13 @@ pub fn bench_gups_doc(quick: bool) -> String {
     // factor — carries a hard >= 1.0 floor in the regression gate:
     // aggregated GUPS must never inject more messages than unaggregated.
     let eager = LibVersion::V2021_3_6Eager;
-    let (off, _) = simtest::run_agg(Workload::GupsSmall, eager, seed, Some(plan), None);
-    let (on, stats) = simtest::run_agg(
-        Workload::GupsSmall,
-        eager,
-        seed,
-        Some(plan),
-        Some(simtest::harness_agg(8)),
-    );
+    let off = simtest::run(Workload::GupsSmall, eager, seed, Some(plan));
+    let batching = Setup {
+        agg: Some(simtest::harness_agg(8)),
+        ..Setup::default()
+    };
+    let on = simtest::observe(Workload::GupsSmall, eager, seed, Some(plan), batching);
+    let (on, stats) = (on.outcome, on.net);
     for (key, o) in [("agg_off", off), ("agg_on", on)] {
         b.exact(
             &format!("gups-small.{key}.digest_hi"),
@@ -290,7 +296,7 @@ pub fn bench_signals_doc(quick: bool) -> String {
     b.exact("park.polls_while_parked", "polls", polls_parked as f64);
     // Idle-efficiency gate rows, count-based so they stay exact (the
     // wall-clock `parked_ns`/`spinning_ns` counters are real time and
-    // cannot carry a zero band): a parked waiter's idle fraction is
+    // cannot be pinned): a parked waiter's idle fraction is
     // wakeups/(wakeups + polls) — pinned at 1.0 since polls_while_parked
     // is pinned at zero — and its polls per signal op is pinned at 0. The
     // regression gate additionally enforces a hard [0, 1] range on every
@@ -316,72 +322,45 @@ pub fn bench_signals_doc(quick: bool) -> String {
         .1;
     for &version in &VERSIONS {
         let o = simtest::run(Workload::SignalStorm, version, seed, Some(plan));
-        let key = format!("signal-storm.{}", version_slug(version));
-        b.exact(&format!("{key}.digest_hi"), "hash", (o.digest >> 32) as f64);
-        b.exact(
-            &format!("{key}.digest_lo"),
-            "hash",
-            (o.digest & 0xFFFF_FFFF) as f64,
-        );
-        b.exact(&format!("{key}.completions"), "ops", o.completions as f64);
-        b.exact(&format!("{key}.injected"), "msgs", o.injected as f64);
-        b.exact(&format!("{key}.retries"), "msgs", o.retries as f64);
-        b.exact(
-            &format!("{key}.drops_injected"),
-            "msgs",
-            o.drops_injected as f64,
-        );
-        b.exact(
-            &format!("{key}.dup_suppressed"),
-            "msgs",
-            o.dup_suppressed as f64,
+        outcome_rows(
+            &mut b,
+            &format!("signal-storm.{}", version_slug(version)),
+            &o,
         );
     }
 
     // Continuations half: deterministic callback-storm outcomes per
     // version under the same chaos plan, plus the measured world-summed
     // continuation counters from the eager run.
-    let mut eager_counters = None;
+    let mut eager_callbacks_run = None;
     for &version in &VERSIONS {
-        let (o, callbacks_run, ops_with_callbacks) =
-            simtest::run_callback_storm_counters(version, seed, Some(plan));
+        let o = simtest::observe(
+            Workload::CallbackStorm,
+            version,
+            seed,
+            Some(plan),
+            Setup::default(),
+        );
         let key = format!("callback-storm.{}", version_slug(version));
-        b.exact(&format!("{key}.digest_hi"), "hash", (o.digest >> 32) as f64);
-        b.exact(
-            &format!("{key}.digest_lo"),
-            "hash",
-            (o.digest & 0xFFFF_FFFF) as f64,
-        );
-        b.exact(&format!("{key}.completions"), "ops", o.completions as f64);
-        b.exact(&format!("{key}.injected"), "msgs", o.injected as f64);
-        b.exact(&format!("{key}.retries"), "msgs", o.retries as f64);
-        b.exact(
-            &format!("{key}.drops_injected"),
-            "msgs",
-            o.drops_injected as f64,
-        );
-        b.exact(
-            &format!("{key}.dup_suppressed"),
-            "msgs",
-            o.dup_suppressed as f64,
-        );
+        outcome_rows(&mut b, &key, &o.outcome);
         if version == LibVersion::V2021_3_6Eager {
-            eager_counters = Some((callbacks_run, ops_with_callbacks));
+            eager_callbacks_run = Some(o.callbacks_run);
         }
     }
-    let (callbacks_run, ops_with_callbacks) = eager_counters.expect("eager version is swept");
+    let callbacks_run = eager_callbacks_run.expect("eager version is swept");
+    let ops_with_callbacks = simtest::CALLBACK_OPS as f64;
     b.exact("continuations.callbacks_run", "ops", callbacks_run as f64);
     b.exact(
         "continuations.ops_with_callbacks",
         "ops",
-        ops_with_callbacks as f64,
+        ops_with_callbacks,
     );
     // Exactly-once, as a gated metric: ops minus runs. The regression gate
     // hard-pins every `*.callback_loss` at exactly zero.
     b.exact(
         "continuations.callback_loss",
         "ops",
-        ops_with_callbacks as f64 - callbacks_run as f64,
+        ops_with_callbacks - callbacks_run as f64,
     );
     b.finish()
 }
@@ -529,10 +508,6 @@ mod tests {
             d.metrics.len() > 3 * VERSIONS.len(),
             "every version contributes quantile + counter metrics"
         );
-        assert!(d
-            .metrics
-            .iter()
-            .all(|m| m.tol_rel == 0.0 && m.tol_abs == 0.0));
         // Both completion paths appear for the eager build.
         assert!(d
             .metrics
@@ -554,10 +529,6 @@ mod tests {
         );
         let d = parse_bench(&a).expect("emitted doc must parse");
         assert_eq!(d.suite, "matching");
-        assert!(d
-            .metrics
-            .iter()
-            .all(|m| m.tol_rel == 0.0 && m.tol_abs == 0.0));
         // Every version matches the same edges at the same weight — the
         // paper's correctness claim, pinned per preset.
         for preset in graphgen::Preset::ALL {
@@ -584,10 +555,6 @@ mod tests {
         assert_eq!(a, bench_signals_doc(true), "signals doc must be replayable");
         let d = parse_bench(&a).expect("emitted doc must parse");
         assert_eq!(d.suite, "signals");
-        assert!(d
-            .metrics
-            .iter()
-            .all(|m| m.tol_rel == 0.0 && m.tol_abs == 0.0));
         let val = |name: &str| {
             d.metrics
                 .iter()
@@ -627,10 +594,6 @@ mod tests {
         assert_eq!(a, bench_causal_doc(true), "causal doc must be replayable");
         let d = parse_bench(&a).expect("emitted doc must parse");
         assert_eq!(d.suite, "causal");
-        assert!(d
-            .metrics
-            .iter()
-            .all(|m| m.tol_rel == 0.0 && m.tol_abs == 0.0));
         let val = |name: &str| {
             d.metrics
                 .iter()

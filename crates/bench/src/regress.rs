@@ -1,43 +1,27 @@
 //! Benchmark regression checking against committed baselines.
 //!
 //! A benchmark result file (`BENCH_*.json`, schema [`BENCH_SCHEMA`])
-//! carries a flat list of named metrics, each with a value and a
-//! per-metric tolerance band. [`compare`] checks a current run against a
-//! baseline: the *baseline's* bands are authoritative (the baseline is
-//! what CI committed and reviewed; a current run cannot loosen its own
-//! gate), a metric present in the baseline but missing from the current
-//! run is a failure (silently dropping a measurement must not pass), and
-//! identification fields (`suite`/`mode`/`seed`/`ranks`/`samples`) must
-//! match exactly so apples are compared to apples.
-//!
+//! carries a flat list of named metrics, each with a unit and a value.
 //! Every document is produced by deterministic drives (the virtual-clock
 //! probe, the chaos differential harness, and schedule-independent
-//! outcomes of real runs), so every band is zero: any byte of drift is a
-//! regression.
+//! outcomes of real runs), so [`compare`] holds a current run to its
+//! baseline exactly: a row whose value differs is a regression, a metric
+//! present in the baseline but missing from the current run is a failure
+//! (silently dropping a measurement must not pass), and identification
+//! fields (`suite`/`mode`/`seed`/`ranks`/`samples`) must match exactly so
+//! apples are compared to apples.
 
 use upcr::trace::{parse_json, Json};
 
 /// Schema tag stamped into every benchmark result document.
-pub const BENCH_SCHEMA: &str = "bench.v1";
+pub const BENCH_SCHEMA: &str = "bench.v2";
 
-/// One named measurement with its tolerance band.
+/// One named measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchMetric {
     pub name: String,
     pub unit: String,
     pub value: f64,
-    /// Relative tolerance (fraction of the baseline value's magnitude).
-    pub tol_rel: f64,
-    /// Absolute tolerance (same unit as `value`).
-    pub tol_abs: f64,
-}
-
-impl BenchMetric {
-    /// The acceptance band when this metric is the baseline: the wider of
-    /// the relative and absolute tolerances.
-    pub fn band(&self) -> f64 {
-        self.tol_abs.max(self.tol_rel * self.value.abs())
-    }
 }
 
 /// A parsed benchmark result document.
@@ -67,7 +51,7 @@ fn text(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-/// Parse a `bench.v1` document, rejecting unknown schemas.
+/// Parse a `bench.v2` document, rejecting unknown schemas.
 pub fn parse_bench(json: &str) -> Result<BenchDoc, String> {
     let doc = parse_json(json).map_err(|e| format!("invalid JSON: {e}"))?;
     let schema = text(&doc, "schema")?;
@@ -88,8 +72,6 @@ pub fn parse_bench(json: &str) -> Result<BenchDoc, String> {
             name: text(m, "name").map_err(|e| format!("metric {i}: {e}"))?,
             unit: text(m, "unit").map_err(|e| format!("metric {i}: {e}"))?,
             value: num(m, "value").map_err(|e| format!("metric {i}: {e}"))?,
-            tol_rel: num(m, "tol_rel").map_err(|e| format!("metric {i}: {e}"))?,
-            tol_abs: num(m, "tol_abs").map_err(|e| format!("metric {i}: {e}"))?,
         });
     }
     Ok(BenchDoc {
@@ -118,27 +100,65 @@ impl Report {
     }
 }
 
-/// Compare a current run against a baseline using the baseline's
-/// tolerance bands. Metrics only the current run has are ignored (new
-/// measurements start gating once they land in the baseline) — with two
-/// exceptions that gate regardless of the baseline, because no committed
-/// band may excuse them: any current metric named `*.agg_speedup` carries
-/// a hard `>= 1.0` floor (a message-count "speedup" below one means
-/// aggregation made the wire traffic *worse*), and any current metric
-/// named `*.idle_fraction` carries a hard `[0, 1]` range (it is a
-/// fraction of accounted wait time; a value outside the unit interval
-/// means the idle-time accounting itself is broken). Two more hard rules
-/// guard the causal-tracing suite the same way: any `*.causal_violations`
-/// must be exactly zero (the gated suites run the virtual clock, where
-/// Lamport order and wall order cannot disagree — a violation is a tracer
-/// bug, not a measurement), and any `*.causal_len_advantage` must be
-/// strictly positive (the paper's claim in happens-before hops: eager
-/// notification shortens the mean causal chain; zero or negative means
-/// the optimization stopped optimizing). A fifth hard rule guards the
-/// continuation suite: any current `*.callback_loss` must be exactly zero
-/// — it is `ops_with_callbacks - callbacks_run`, so a nonzero value in
-/// either direction means a completion callback was lost or ran more than
-/// once, and no committed band may excuse that.
+/// A hard rule: `(name suffix, violated, message)`, where the message's
+/// `{}` takes the value.
+type HardRule = (&'static str, fn(f64) -> bool, &'static str);
+
+/// The hard rules [`compare`] applies to every current metric whatever
+/// the baseline says.
+const HARD_RULES: [HardRule; 5] = [
+    (
+        ".agg_speedup",
+        |v| v < 1.0,
+        "aggregation speedup {} below the hard 1.0 floor \
+         (batching must not inflate wire traffic)",
+    ),
+    (
+        ".idle_fraction",
+        |v| !(0.0..=1.0).contains(&v),
+        "idle fraction {} outside the hard [0, 1] range \
+         (parked time cannot exceed total accounted wait time)",
+    ),
+    (
+        ".causal_violations",
+        |v| v != 0.0,
+        "{} causality violations on a virtual-clock run \
+         (Lamport order must agree with the virtual clock)",
+    ),
+    (
+        ".causal_len_advantage",
+        |v| v <= 0.0,
+        "eager causal-chain advantage {} not strictly positive \
+         (eager notification must shorten the mean happens-before chain)",
+    ),
+    (
+        ".callback_loss",
+        |v| v != 0.0,
+        "callback loss {} is not exactly zero \
+         (every callback-carrying op must run its continuation exactly once)",
+    ),
+];
+
+/// Compare a current run against a baseline: every baseline row must be
+/// present and equal in the current run. Metrics only the current run has
+/// are ignored (new measurements start gating once they land in the
+/// baseline), except under five hard rules that gate a current metric
+/// whether or not the baseline has it, so a regression cannot hide behind
+/// a stale baseline, and that no committed row may excuse:
+///
+/// * `*.agg_speedup >= 1.0`: a message-count "speedup" below one means
+///   aggregation made the wire traffic *worse*;
+/// * `*.idle_fraction` in `[0, 1]`: it is a fraction of accounted wait
+///   time, so a value outside the unit interval means the idle-time
+///   accounting itself is broken;
+/// * `*.causal_violations == 0`: the gated suites run the virtual clock,
+///   where Lamport order and wall order cannot disagree, so a violation is
+///   a tracer bug, not a measurement;
+/// * `*.causal_len_advantage > 0`: the paper's claim in happens-before
+///   hops, that eager notification shortens the mean causal chain;
+/// * `*.callback_loss == 0`: it is `ops_with_callbacks - callbacks_run`,
+///   so a nonzero value in either direction means a completion callback
+///   was lost or ran more than once.
 pub fn compare(baseline: &BenchDoc, current: &BenchDoc) -> Report {
     let mut failures = Vec::new();
     for (field, b, c) in [
@@ -164,95 +184,27 @@ pub fn compare(baseline: &BenchDoc, current: &BenchDoc) -> Report {
             None => failures.push(format!("{}: missing from current run", bm.name)),
             Some(cm) => {
                 checked += 1;
-                let band = bm.band();
-                let delta = (cm.value - bm.value).abs();
-                if delta > band {
+                if cm.value != bm.value {
                     failures.push(format!(
-                        "{}: baseline {} {u}, current {} {u} (|delta| {} > band {})",
+                        "{}: baseline {} {u}, current {} {u}",
                         bm.name,
                         bm.value,
                         cm.value,
-                        delta,
-                        band,
                         u = bm.unit,
                     ));
                 }
             }
         }
     }
-    for cm in &current.metrics {
-        if !cm.name.ends_with(".agg_speedup") {
-            continue;
-        }
-        if baseline.metrics.iter().all(|m| m.name != cm.name) {
-            checked += 1;
-        }
-        if cm.value < 1.0 {
-            failures.push(format!(
-                "{}: aggregation speedup {} below the hard 1.0 floor \
-                 (batching must not inflate wire traffic)",
-                cm.name, cm.value,
-            ));
-        }
-    }
-    for cm in &current.metrics {
-        if !cm.name.ends_with(".idle_fraction") {
-            continue;
-        }
-        if baseline.metrics.iter().all(|m| m.name != cm.name) {
-            checked += 1;
-        }
-        if !(0.0..=1.0).contains(&cm.value) {
-            failures.push(format!(
-                "{}: idle fraction {} outside the hard [0, 1] range \
-                 (parked time cannot exceed total accounted wait time)",
-                cm.name, cm.value,
-            ));
-        }
-    }
-    for cm in &current.metrics {
-        if !cm.name.ends_with(".causal_violations") {
-            continue;
-        }
-        if baseline.metrics.iter().all(|m| m.name != cm.name) {
-            checked += 1;
-        }
-        if cm.value != 0.0 {
-            failures.push(format!(
-                "{}: {} causality violations on a virtual-clock run \
-                 (Lamport order must agree with the virtual clock)",
-                cm.name, cm.value,
-            ));
-        }
-    }
-    for cm in &current.metrics {
-        if !cm.name.ends_with(".causal_len_advantage") {
-            continue;
-        }
-        if baseline.metrics.iter().all(|m| m.name != cm.name) {
-            checked += 1;
-        }
-        if cm.value <= 0.0 {
-            failures.push(format!(
-                "{}: eager causal-chain advantage {} not strictly positive \
-                 (eager notification must shorten the mean happens-before chain)",
-                cm.name, cm.value,
-            ));
-        }
-    }
-    for cm in &current.metrics {
-        if !cm.name.ends_with(".callback_loss") {
-            continue;
-        }
-        if baseline.metrics.iter().all(|m| m.name != cm.name) {
-            checked += 1;
-        }
-        if cm.value != 0.0 {
-            failures.push(format!(
-                "{}: callback loss {} is not exactly zero \
-                 (every callback-carrying op must run its continuation exactly once)",
-                cm.name, cm.value,
-            ));
+    for (suffix, violated, message) in HARD_RULES {
+        for cm in current.metrics.iter().filter(|m| m.name.ends_with(suffix)) {
+            if baseline.metrics.iter().all(|m| m.name != cm.name) {
+                checked += 1;
+            }
+            if violated(cm.value) {
+                let message = message.replacen("{}", &cm.value.to_string(), 1);
+                failures.push(format!("{}: {message}", cm.name));
+            }
         }
     }
     Report {
@@ -277,45 +229,34 @@ mod tests {
         }
     }
 
-    fn metric(name: &str, value: f64, tol_rel: f64, tol_abs: f64) -> BenchMetric {
+    fn metric(name: &str, value: f64) -> BenchMetric {
         BenchMetric {
             name: name.into(),
             unit: "ns".into(),
             value,
-            tol_rel,
-            tol_abs,
         }
     }
 
     #[test]
-    fn within_band_passes() {
-        let base = doc(vec![
-            metric("a.p50_ns", 100.0, 0.05, 0.0),
-            metric("b.count", 7.0, 0.0, 0.0),
-        ]);
-        let cur = doc(vec![
-            metric("a.p50_ns", 104.0, 0.0, 0.0),
-            metric("b.count", 7.0, 0.0, 0.0),
-        ]);
-        let r = compare(&base, &cur);
+    fn equal_rows_pass_and_any_drift_fails() {
+        let base = doc(vec![metric("a.p50_ns", 100.0), metric("b.count", 7.0)]);
+        let r = compare(&base, &base.clone());
         assert!(r.passed(), "unexpected failures: {:?}", r.failures);
         assert_eq!(r.checked, 2);
-    }
-
-    #[test]
-    fn outside_band_fails_with_baseline_band() {
-        // The current run's own (loose) tolerance must not widen the gate.
-        let base = doc(vec![metric("a.p50_ns", 100.0, 0.05, 0.0)]);
-        let cur = doc(vec![metric("a.p50_ns", 110.0, 0.5, 1000.0)]);
+        let cur = doc(vec![metric("a.p50_ns", 100.5), metric("b.count", 7.0)]);
         let r = compare(&base, &cur);
-        assert_eq!(r.failures.len(), 1);
-        assert!(r.failures[0].contains("a.p50_ns"), "{:?}", r.failures);
+        assert_eq!(r.checked, 2);
+        assert_eq!(
+            r.failures,
+            ["a.p50_ns: baseline 100 ns, current 100.5 ns"],
+            "a drift fails with the baseline and current values"
+        );
     }
 
     #[test]
     fn missing_metric_fails_and_extra_metric_is_ignored() {
-        let base = doc(vec![metric("gone", 1.0, 0.0, 0.0)]);
-        let cur = doc(vec![metric("new", 1.0, 0.0, 0.0)]);
+        let base = doc(vec![metric("gone", 1.0)]);
+        let cur = doc(vec![metric("new", 1.0)]);
         let r = compare(&base, &cur);
         assert_eq!(r.checked, 0);
         assert_eq!(r.failures.len(), 1);
@@ -327,21 +268,21 @@ mod tests {
         // The hard floor applies to current metrics the baseline has never
         // seen — a regression cannot hide behind a stale baseline.
         let base = doc(vec![]);
-        let cur = doc(vec![metric("gups-small.agg_speedup", 0.9, 0.0, 0.0)]);
+        let cur = doc(vec![metric("gups-small.agg_speedup", 0.9)]);
         let r = compare(&base, &cur);
         assert_eq!(r.checked, 1);
         assert_eq!(r.failures.len(), 1);
         assert!(r.failures[0].contains("hard 1.0 floor"), "{:?}", r.failures);
-        let ok = doc(vec![metric("gups-small.agg_speedup", 1.8, 0.0, 0.0)]);
+        let ok = doc(vec![metric("gups-small.agg_speedup", 1.8)]);
         assert!(compare(&base, &ok).passed());
     }
 
     #[test]
-    fn agg_speedup_floor_stacks_with_baseline_band() {
-        // In the baseline with a zero band: drifting fails the band, and a
-        // sub-1.0 value fails the floor even if the band would allow it.
-        let base = doc(vec![metric("gups-small.agg_speedup", 0.9, 0.5, 0.0)]);
-        let cur = doc(vec![metric("gups-small.agg_speedup", 0.9, 0.0, 0.0)]);
+    fn agg_speedup_floor_gates_a_metric_equal_to_its_baseline() {
+        // A sub-1.0 value fails the floor even when the committed baseline
+        // row carries the same value.
+        let base = doc(vec![metric("gups-small.agg_speedup", 0.9)]);
+        let cur = doc(vec![metric("gups-small.agg_speedup", 0.9)]);
         let r = compare(&base, &cur);
         assert_eq!(r.checked, 1, "in-baseline metric is not double counted");
         assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
@@ -352,7 +293,7 @@ mod tests {
     fn idle_fraction_range_gates_even_without_baseline_entry() {
         let base = doc(vec![]);
         for bad in [-0.1, 1.5] {
-            let cur = doc(vec![metric("park.idle_fraction", bad, 0.0, 0.0)]);
+            let cur = doc(vec![metric("park.idle_fraction", bad)]);
             let r = compare(&base, &cur);
             assert_eq!(r.checked, 1);
             assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
@@ -363,7 +304,7 @@ mod tests {
             );
         }
         for ok_val in [0.0, 0.5, 1.0] {
-            let ok = doc(vec![metric("park.idle_fraction", ok_val, 0.0, 0.0)]);
+            let ok = doc(vec![metric("park.idle_fraction", ok_val)]);
             assert!(compare(&base, &ok).passed());
         }
     }
@@ -371,12 +312,7 @@ mod tests {
     #[test]
     fn causal_violations_zero_pin_gates_even_without_baseline_entry() {
         let base = doc(vec![]);
-        let cur = doc(vec![metric(
-            "v2021_3_6_eager.causal_violations",
-            2.0,
-            0.0,
-            0.0,
-        )]);
+        let cur = doc(vec![metric("v2021_3_6_eager.causal_violations", 2.0)]);
         let r = compare(&base, &cur);
         assert_eq!(r.checked, 1);
         assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
@@ -385,12 +321,7 @@ mod tests {
             "{:?}",
             r.failures
         );
-        let ok = doc(vec![metric(
-            "v2021_3_6_eager.causal_violations",
-            0.0,
-            0.0,
-            0.0,
-        )]);
+        let ok = doc(vec![metric("v2021_3_6_eager.causal_violations", 0.0)]);
         assert!(compare(&base, &ok).passed());
     }
 
@@ -398,7 +329,7 @@ mod tests {
     fn causal_len_advantage_floor_gates_even_without_baseline_entry() {
         let base = doc(vec![]);
         for bad in [0.0, -250.0] {
-            let cur = doc(vec![metric("probe.causal_len_advantage", bad, 0.0, 0.0)]);
+            let cur = doc(vec![metric("probe.causal_len_advantage", bad)]);
             let r = compare(&base, &cur);
             assert_eq!(r.checked, 1);
             assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
@@ -408,7 +339,7 @@ mod tests {
                 r.failures
             );
         }
-        let ok = doc(vec![metric("probe.causal_len_advantage", 333.0, 0.0, 0.0)]);
+        let ok = doc(vec![metric("probe.causal_len_advantage", 333.0)]);
         assert!(compare(&base, &ok).passed());
     }
 
@@ -418,13 +349,13 @@ mod tests {
         // Loss in either direction fails: a lost callback (positive) and a
         // double-run callback (negative) are both exactly-once violations.
         for bad in [1.0, -2.0] {
-            let cur = doc(vec![metric("continuations.callback_loss", bad, 0.0, 0.0)]);
+            let cur = doc(vec![metric("continuations.callback_loss", bad)]);
             let r = compare(&base, &cur);
             assert_eq!(r.checked, 1);
             assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
             assert!(r.failures[0].contains("exactly once"), "{:?}", r.failures);
         }
-        let ok = doc(vec![metric("continuations.callback_loss", 0.0, 0.0, 0.0)]);
+        let ok = doc(vec![metric("continuations.callback_loss", 0.0)]);
         assert!(compare(&base, &ok).passed());
     }
 
@@ -440,13 +371,13 @@ mod tests {
 
     #[test]
     fn parse_round_trip_and_schema_gate() {
-        let json = r#"{"schema":"bench.v1","suite":"micro","mode":"quick",
+        let json = r#"{"schema":"bench.v2","suite":"micro","mode":"quick",
             "seed":1,"ranks":2,"samples":24,"metrics":[
-            {"name":"a","unit":"ns","value":3,"tol_rel":0,"tol_abs":0}]}"#;
+            {"name":"a","unit":"ns","value":3}]}"#;
         let d = parse_bench(json).expect("well-formed doc must parse");
         assert_eq!(d.metrics.len(), 1);
         assert_eq!(d.metrics[0].name, "a");
-        assert!(parse_bench(&json.replace("bench.v1", "bench.v9"))
+        assert!(parse_bench(&json.replace("bench.v2", "bench.v1"))
             .unwrap_err()
             .contains("unsupported schema"));
         assert!(parse_bench("{}").is_err());

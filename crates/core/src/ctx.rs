@@ -165,7 +165,7 @@ impl RankCtx {
             in_progress: StdCell::new(false),
             in_callback: StdCell::new(false),
             trace_on: StdCell::new(false),
-            tracer: RefCell::new(RankTracer::with_clocks(me.0, clocks)),
+            tracer: RefCell::new(RankTracer::new(me.0, clocks)),
             metrics_on: StdCell::new(false),
             metrics: RefCell::new(MetricSeries::new(MetricsConfig::default())),
             agg,

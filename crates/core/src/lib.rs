@@ -76,7 +76,7 @@ pub use future::{
 };
 pub use global_ptr::{GlobalPtr, LocalRef, SegValue};
 pub use introspect::{diagnose_stall, wait_graph, Snapshot, WaitEdge, WaitEdgeKind};
-pub use metrics::{MetricClass, MetricDesc, MetricsConfig, RankSeries};
+pub use metrics::{MetricDesc, MetricsConfig, RankSeries};
 pub use reduce::{ReduceOp, ReduceVal};
 pub use runtime::{api, launch, RuntimeConfig, Upcr, DEFAULT_WATCHDOG_MS};
 pub use ser::{SerDe, SerError};

@@ -13,7 +13,8 @@
 use std::fmt::Write as _;
 
 use super::series::RankSeries;
-use super::{descs, MetricClass, MetricDesc};
+use super::{descs, MetricDesc};
+use crate::stats::FieldClass;
 use crate::trace::hist::{bucket_index, bucket_upper_bound, Histograms};
 use crate::trace::{CompletionPath, OpKind};
 
@@ -115,8 +116,8 @@ pub fn metrics_json_multi(parts: &[(&RankSeries, &Histograms)]) -> String {
 
 fn prom_name(d: &MetricDesc) -> String {
     match d.class {
-        MetricClass::Counter => format!("{}_total", d.name),
-        MetricClass::Gauge => d.name.clone(),
+        FieldClass::Counter => format!("{}_total", d.name),
+        FieldClass::Gauge => d.name.clone(),
     }
 }
 

@@ -41,38 +41,13 @@ use crate::ctx::RankCtx;
 use crate::stats::{FieldClass, StatsSnapshot};
 use gasnex::NetStats;
 
-/// The class of a registered metric, mirroring Prometheus' model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricClass {
-    Counter,
-    Gauge,
-}
-
-impl MetricClass {
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricClass::Counter => "counter",
-            MetricClass::Gauge => "gauge",
-        }
-    }
-}
-
-impl From<FieldClass> for MetricClass {
-    fn from(c: FieldClass) -> Self {
-        match c {
-            FieldClass::Counter => MetricClass::Counter,
-            FieldClass::Gauge => MetricClass::Gauge,
-        }
-    }
-}
-
 /// One registered metric: its exported name and class. The position of a
 /// desc in [`descs`] is the position of its value in every
 /// [`series::Sample`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricDesc {
     pub name: String,
-    pub class: MetricClass,
+    pub class: FieldClass,
 }
 
 /// Live queue-depth gauges sampled directly from the rank context (they
@@ -119,19 +94,19 @@ pub fn descs() -> Vec<MetricDesc> {
     for (name, class) in StatsSnapshot::FIELDS {
         out.push(MetricDesc {
             name: format!("upcr_{name}"),
-            class: (*class).into(),
+            class: *class,
         });
     }
     for name in LIVE_GAUGES.iter().chain(DERIVED_GAUGES) {
         out.push(MetricDesc {
             name: format!("upcr_{name}"),
-            class: MetricClass::Gauge,
+            class: FieldClass::Gauge,
         });
     }
     for (name, class) in NetStats::FIELDS {
         out.push(MetricDesc {
             name: format!("net_{name}"),
-            class: (*class).into(),
+            class: *class,
         });
     }
     out
@@ -167,26 +142,26 @@ mod tests {
         assert_eq!(d[0].name, format!("upcr_{}", StatsSnapshot::FIELDS[0].0));
         let net_start = StatsSnapshot::FIELDS.len() + LIVE_GAUGES.len() + DERIVED_GAUGES.len();
         assert_eq!(d[net_start].name, "net_injected");
-        assert_eq!(d[net_start].class, MetricClass::Counter);
+        assert_eq!(d[net_start].class, FieldClass::Counter);
         assert!(d
             .iter()
-            .any(|m| m.name == "upcr_pending_highwater" && m.class == MetricClass::Gauge));
+            .any(|m| m.name == "upcr_pending_highwater" && m.class == FieldClass::Gauge));
         assert!(d
             .iter()
-            .any(|m| m.name == "upcr_ready_queue_depth" && m.class == MetricClass::Gauge));
+            .any(|m| m.name == "upcr_ready_queue_depth" && m.class == FieldClass::Gauge));
         assert!(d
             .iter()
-            .any(|m| m.name == "upcr_idle_fraction_ppm" && m.class == MetricClass::Gauge));
+            .any(|m| m.name == "upcr_idle_fraction_ppm" && m.class == FieldClass::Gauge));
         assert!(d
             .iter()
-            .any(|m| m.name == "upcr_polls_per_op_milli" && m.class == MetricClass::Gauge));
+            .any(|m| m.name == "upcr_polls_per_op_milli" && m.class == FieldClass::Gauge));
         // The notifiable-RMA and idle-time counters ride the macro-derived
         // registry into both exporters; pin their registration so a field
         // rename cannot silently drop them from the exposition.
         // The causal-tracing chain-depth high-water mark is a gauge.
         assert!(d
             .iter()
-            .any(|m| m.name == "upcr_causal_chain_depth" && m.class == MetricClass::Gauge));
+            .any(|m| m.name == "upcr_causal_chain_depth" && m.class == FieldClass::Gauge));
         for name in [
             "upcr_signals_sent",
             "upcr_signals_coalesced",
@@ -206,7 +181,7 @@ mod tests {
         ] {
             assert!(
                 d.iter()
-                    .any(|m| m.name == name && m.class == MetricClass::Counter),
+                    .any(|m| m.name == name && m.class == FieldClass::Counter),
                 "missing registered counter {name}"
             );
         }

@@ -728,11 +728,6 @@ impl Upcr {
         self.ctx.metrics_on.set(on);
     }
 
-    /// Whether metric sampling is currently enabled on this rank.
-    pub fn is_metrics_enabled(&self) -> bool {
-        self.ctx.metrics_on.get()
-    }
-
     /// Replace the sampler configuration (interval, ring capacity). Drops
     /// any buffered samples.
     pub fn metrics_config(&self, cfg: crate::metrics::MetricsConfig) {

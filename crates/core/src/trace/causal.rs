@@ -899,7 +899,7 @@ pub fn assemble(bundle: &TraceBundle) -> CausalAssembly {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{NetTraceEvent, OpKind, RankTracer};
+    use super::super::{LamportClocks, NetTraceEvent, OpKind, RankTracer};
     use super::*;
 
     fn net(ts: u64, lclock: u64, msg: u64, attempt: u32, kind: NetEventKind) -> NetTraceEvent {
@@ -915,7 +915,7 @@ mod tests {
     /// Rank 0 puts to rank 1 over the wire; the completion signal wakes
     /// rank 0's waiter. Covers all four edge families.
     fn remote_put_bundle() -> TraceBundle {
-        let mut t0 = RankTracer::new(0);
+        let mut t0 = RankTracer::new(0, LamportClocks::new(1));
         let op = t0.op_init(OpKind::Put, 100, true); // lclock 1
         t0.net_inject(op, 7, 120); // lclock 2
         t0.wakeup(3, 900); // lclock 3
@@ -990,7 +990,7 @@ mod tests {
     fn skewed_wall_clocks_trip_violations() {
         // Deliver stamped *earlier* than inject on the wall clock — the
         // UDP cross-process skew hazard. Lamport order still holds.
-        let mut t0 = RankTracer::new(0);
+        let mut t0 = RankTracer::new(0, LamportClocks::new(1));
         let op = t0.op_init(OpKind::Put, 1_000, true);
         t0.net_inject(op, 7, 1_010);
         let bundle = TraceBundle {
@@ -1014,7 +1014,7 @@ mod tests {
 
     #[test]
     fn op_chain_lengths_separate_eager_from_deferred() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let e = t.op_init(OpKind::Amo, 10, true);
         t.notify(e, CompletionPath::Eager, 10); // chain: 2
         let d = t.op_init(OpKind::Put, 20, true);
@@ -1045,7 +1045,7 @@ mod tests {
     /// populated, and the signal comes from the SignalWake edge.
     #[test]
     fn breakdown_of_remote_op_with_retry_fills_every_segment() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let op = t.op_init(OpKind::Put, 100, true); // lclock 1
         t.net_inject(op, 7, 110); // lclock 2
         t.wakeup(3, 2_450); // lclock 3
@@ -1082,7 +1082,7 @@ mod tests {
 
     #[test]
     fn breakdown_of_local_deferred_op_is_queue_wait() {
-        let mut t = RankTracer::new(1);
+        let mut t = RankTracer::new(1, LamportClocks::new(1));
         let op = t.op_init(OpKind::Amo, 50, true);
         t.notify(op, CompletionPath::Deferred, 950);
         let a = assemble(&TraceBundle {
@@ -1096,7 +1096,7 @@ mod tests {
 
     #[test]
     fn breakdown_of_eager_op_is_zero_width() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let op = t.op_init(OpKind::Put, 10, true);
         t.notify(op, CompletionPath::Eager, 10);
         let a = assemble(&TraceBundle {
@@ -1113,7 +1113,7 @@ mod tests {
     fn breakdown_without_wire_trace_still_sums_exactly() {
         // Wire trace lost (e.g. net tracing off): everything after inject
         // collapses into the trailing segment, but the sum invariant holds.
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let op = t.op_init(OpKind::Get, 0, true);
         t.net_inject(op, 9, 40);
         t.notify(op, CompletionPath::Deferred, 5_000);

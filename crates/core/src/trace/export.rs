@@ -550,11 +550,11 @@ pub fn count_notifications(text: &str) -> Result<(u64, u64), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CompletionPath, OpKind, RankTracer};
+    use super::super::{CompletionPath, LamportClocks, OpKind, RankTracer};
     use super::*;
 
     fn sample_bundle() -> TraceBundle {
-        let mut t0 = RankTracer::new(0);
+        let mut t0 = RankTracer::new(0, LamportClocks::new(1));
         let a = t0.op_init(OpKind::Put, 100, true);
         t0.net_inject(a, 0, 120);
         t0.notify(a, CompletionPath::Deferred, 2_500);
@@ -562,7 +562,7 @@ mod tests {
         t0.notify(b, CompletionPath::Eager, 3_000);
         t0.wakeup(17, 2_400);
         t0.drain(2, 2_600);
-        let mut t1 = RankTracer::new(1);
+        let mut t1 = RankTracer::new(1, LamportClocks::new(1));
         let c = t1.op_init(OpKind::Rpc, 500, true);
         t1.notify(c, CompletionPath::Deferred, 9_999);
         TraceBundle {
@@ -653,7 +653,7 @@ mod tests {
 
     #[test]
     fn summary_table_lists_each_pair() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let a = t.op_init(OpKind::Put, 0, true);
         t.notify(a, CompletionPath::Eager, 0);
         let b = t.op_init(OpKind::Put, 0, true);

@@ -215,40 +215,22 @@ pub struct RankTracer {
     /// Open spans: op id → initiation timestamp (for latency on notify).
     open: HashMap<u64, u64>,
     hist: Histograms,
-    /// The world's shared Lamport clock bank, when the tracer is wired
-    /// into a running job. Standalone tracers (tests, tooling) fall back
-    /// to a private per-rank counter — same strict monotonicity, no
-    /// cross-rank merge.
-    clocks: Option<Arc<LamportClocks>>,
-    /// Fallback logical clock for tracers without a shared bank.
-    local_lc: u64,
+    /// The world's shared Lamport clock bank, so rank-side stamps
+    /// interleave causally with the conduit's wire stamps.
+    clocks: Arc<LamportClocks>,
 }
 
 impl RankTracer {
-    pub fn new(rank: u32) -> Self {
-        Self::with_capacity(rank, DEFAULT_RING_CAPACITY)
-    }
-
-    /// A tracer stamping events from the world's shared Lamport clock
-    /// bank, so rank-side stamps interleave causally with the conduit's
-    /// wire stamps.
-    pub fn with_clocks(rank: u32, clocks: Arc<LamportClocks>) -> Self {
-        RankTracer {
-            clocks: Some(clocks),
-            ..Self::new(rank)
-        }
-    }
-
-    pub fn with_capacity(rank: u32, capacity: usize) -> Self {
+    /// A tracer for `rank` stamping events from `clocks`.
+    pub fn new(rank: u32, clocks: Arc<LamportClocks>) -> Self {
         RankTracer {
             rank,
-            ring: ring::Ring::new(capacity),
+            ring: ring::Ring::new(DEFAULT_RING_CAPACITY),
             next_op: 0,
             next_seq: 0,
             open: HashMap::new(),
             hist: Histograms::new(),
-            clocks: None,
-            local_lc: 0,
+            clocks,
         }
     }
 
@@ -256,13 +238,7 @@ impl RankTracer {
     fn push(&mut self, ts_ns: u64, op: TraceOp, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let lclock = match &self.clocks {
-            Some(c) => c.tick(c.slot_for(Some(self.rank))),
-            None => {
-                self.local_lc += 1;
-                self.local_lc
-            }
-        };
+        let lclock = self.clocks.tick(self.clocks.slot_for(Some(self.rank)));
         self.ring.push(TraceEvent {
             ts_ns,
             seq,
@@ -428,7 +404,7 @@ mod tests {
 
     #[test]
     fn span_lifecycle_feeds_histogram() {
-        let mut t = RankTracer::new(3);
+        let mut t = RankTracer::new(3, LamportClocks::new(1));
         let op = t.op_init(OpKind::Put, 100, true);
         assert_eq!(op.id, 1);
         t.net_inject(op, 7, 110);
@@ -455,7 +431,7 @@ mod tests {
 
     #[test]
     fn fire_and_forget_leaves_no_open_span() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         let op = t.op_init(OpKind::Rpc, 5, false);
         assert!(t.open.is_empty());
         // A stray notify records latency 0 and no histogram sample.
@@ -468,7 +444,7 @@ mod tests {
 
     #[test]
     fn none_op_is_ignored() {
-        let mut t = RankTracer::new(0);
+        let mut t = RankTracer::new(0, LamportClocks::new(1));
         t.net_inject(TraceOp::NONE, 1, 10);
         t.notify(TraceOp::NONE, CompletionPath::Eager, 10);
         assert!(t.is_empty());

@@ -229,11 +229,6 @@ impl UdpConduit {
         }
     }
 
-    /// The bound address of each node's socket (multi-process tooling hook).
-    pub fn node_addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
     fn node_of(&self, r: Rank) -> usize {
         (r.0 / self.ranks_per_node) as usize % self.sockets.len()
     }

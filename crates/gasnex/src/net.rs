@@ -128,6 +128,17 @@ pub enum FieldClass {
     Gauge,
 }
 
+impl FieldClass {
+    /// The class's lowercase name, as the metric exporters spell it (the
+    /// Prometheus `# TYPE` keyword).
+    pub fn name(self) -> &'static str {
+        match self {
+            FieldClass::Counter => "counter",
+            FieldClass::Gauge => "gauge",
+        }
+    }
+}
+
 /// `since` semantics for one field class: counters subtract (saturating),
 /// gauges pass the later sample through — a high-water mark is a level,
 /// not a count, so callers see the peak over the run.

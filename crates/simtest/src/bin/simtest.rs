@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use simtest::{fault_plans, harness_agg, run_observed, watchdog_stall_demo, Workload};
+use simtest::{fault_plans, harness_agg, observe, watchdog_stall_demo, Setup, Workload};
 use upcr::metrics::{metrics_json_multi, prometheus_text_multi};
 use upcr::trace::{count_notifications, parse_json, summary_table};
 use upcr::{LibVersion, MetricsConfig};
@@ -153,18 +153,15 @@ fn main() -> ExitCode {
             .1
     });
 
-    let sample_metrics =
-        (args.metrics_out.is_some() || args.prom_out.is_some()).then(MetricsConfig::default);
-    let agg = args.agg_flush.map(harness_agg);
-    let observed = run_observed(
-        args.workload,
-        args.version,
-        args.seed,
-        plan,
-        sample_metrics,
-        agg,
-        args.progress_thread,
-    );
+    let setup = Setup {
+        agg: args.agg_flush.map(harness_agg),
+        progress_thread: args.progress_thread,
+        trace: true,
+        metrics: (args.metrics_out.is_some() || args.prom_out.is_some())
+            .then(MetricsConfig::default),
+        ..Setup::default()
+    };
+    let observed = observe(args.workload, args.version, args.seed, plan, setup);
     let (outcome, bundle, hists) = (observed.outcome, &observed.bundle, &observed.hists);
     println!(
         "workload={} seed={} version={:?} digest={:#018x} completions={} injected={} retries={} drops={} dups={}",

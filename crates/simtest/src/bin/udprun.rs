@@ -873,14 +873,19 @@ fn parent(
             // Fourth leg of the differential: the in-process runtime on the
             // real kernel-socket conduit with the background progress
             // thread actually running (wall clock), same digest required.
-            let (o, _) = simtest::run_with_options(
+            let setup = simtest::Setup {
+                transport: gasnex::Transport::UdpSocket,
+                progress_thread: true,
+                ..simtest::Setup::default()
+            };
+            let o = simtest::observe(
                 Workload::PutGetStorm,
                 LibVersion::V2021_3_6Eager,
                 seed,
                 None,
-                gasnex::Transport::UdpSocket,
-                true,
-            );
+                setup,
+            )
+            .outcome;
             assert_eq!(
                 o.digest, digest,
                 "progress-thread UDP-conduit digest diverged from the multi-process run"

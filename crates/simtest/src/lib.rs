@@ -29,6 +29,12 @@ pub const RANKS: usize = 4;
 /// Ranks per simulated node (two nodes, so half the traffic crosses the
 /// simulated network).
 pub const RANKS_PER_NODE: usize = 2;
+/// The eight fixed seeds every chaos sweep runs (`./ci.sh chaos` runs the
+/// sweeps in release mode).
+pub const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+/// Callback-carrying ops [`Workload::CallbackStorm`] issues across the
+/// world: every rank puts to and gets from each of its `RANKS - 1` peers.
+pub const CALLBACK_OPS: u64 = (RANKS * 2 * (RANKS - 1)) as u64;
 
 /// The seeded workloads the harness sweeps. Each is deterministic in final
 /// memory state for a fixed `(workload, seed)` regardless of scheduling or
@@ -197,9 +203,9 @@ pub fn net_for(plan: Option<FaultPlan>) -> NetConfig {
 }
 
 /// Run `workload` under `version` with the given seed and optional fault
-/// plan, reducing the run to its [`Outcome`].
+/// plan on the default [`Setup`], reducing the run to its [`Outcome`].
 pub fn run(workload: Workload, version: LibVersion, seed: u64, plan: Option<FaultPlan>) -> Outcome {
-    run_agg(workload, version, seed, plan, None).0
+    observe(workload, version, seed, plan, Setup::default()).outcome
 }
 
 /// The named fault plans a real-socket run can honour: only deliberate
@@ -232,67 +238,114 @@ pub fn net_for_udp(plan: Option<FaultPlan>) -> NetConfig {
     }
 }
 
-/// Like [`run`], but carried by the real loopback-UDP socket conduit
-/// instead of the simulated network: every cross-node delivery travels as
-/// an actual kernel datagram, with sender retransmission and receiver
-/// dedup on the wire.
-///
-/// The digest and completion count must match the simulated run for the
-/// same `(workload, seed)` — that equality is the transport-independence
-/// claim the differential tests pin. The reliability counters are *not*
-/// comparable: real-wire retransmission races (an ACK arriving just after
-/// a timer fires) make them schedule-dependent.
-pub fn run_udp(
-    workload: Workload,
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-) -> Outcome {
-    run_with_snapshots(workload, version, seed, plan, Transport::UdpSocket).0
+/// How [`observe`] configures a run. `Setup::default()` is the plain chaos
+/// harness [`run`] uses: the simulated conduit, no aggregation, no
+/// progress thread, tracing and metric sampling off.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Setup {
+    /// The wire: [`Transport::Sim`] gets the harness's virtual-clock chaos
+    /// network ([`net_for`]), [`Transport::UdpSocket`] the wall-clock
+    /// socket network ([`net_for_udp`]), where every cross-node delivery
+    /// travels as a kernel datagram. The digest and completion count must
+    /// not depend on it; the reliability counters do, because real-wire
+    /// retransmission races (an ACK arriving just after a timer fires)
+    /// are schedule-dependent.
+    pub transport: Transport,
+    /// Per-target aggregation; [`harness_agg`] is the configuration the
+    /// differential tests sweep.
+    pub agg: Option<AggConfig>,
+    /// The background progress thread
+    /// ([`upcr::RuntimeConfig::with_progress_thread`]). It is a strict
+    /// no-op on the virtual clock, so a thread-on sim run must be
+    /// byte-identical to a thread-off one.
+    pub progress_thread: bool,
+    /// Operation-lifecycle tracing on every rank; fills
+    /// [`Observed::bundle`] and [`Observed::hists`].
+    pub trace: bool,
+    /// Fixed-interval metric sampling on every rank; fills
+    /// [`Observed::per_rank`].
+    pub metrics: Option<upcr::MetricsConfig>,
 }
 
-/// Run `workload` on the chosen conduit and return the outcome plus every
-/// rank's quiesced snapshot as `(text, json)` renderings, in rank order.
-/// The simulated conduit gets the harness's virtual-clock chaos network
-/// ([`net_for`]); the kernel-socket conduit gets the wall-clock socket
-/// network ([`net_for_udp`]). The snapshot renderings are taken at
-/// quiesce, so they are a pure function of the program — the
-/// conduit-independence tests compare them byte for byte.
-pub fn run_with_snapshots(
-    workload: Workload,
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-    transport: Transport,
-) -> (Outcome, Vec<(String, String)>) {
-    run_with_options(workload, version, seed, plan, transport, false)
+/// Everything one [`observe`] run produced.
+pub struct Observed {
+    pub outcome: Outcome,
+    /// The world's network counters after the drain, including the
+    /// batching counters (`batches_injected`, `ops_coalesced`, flush
+    /// reasons) and `dup_promoted`, which are deliberately *not* part of
+    /// the differential [`Outcome`].
+    pub net: NetStats,
+    /// Continuation callbacks run, summed over every rank's stats, so a
+    /// callback lost or run twice anywhere in the world shows up against
+    /// [`CALLBACK_OPS`].
+    pub callbacks_run: u64,
+    /// Every rank's span events and the world-global wire events (empty
+    /// unless [`Setup::trace`]).
+    pub bundle: upcr::TraceBundle,
+    /// The cross-rank merged latency histograms (empty unless
+    /// [`Setup::trace`]).
+    pub hists: upcr::Histograms,
+    /// With [`Setup::metrics`], each rank's sampled time-series paired with
+    /// that rank's own histograms (the exporters label series by rank, so
+    /// per-rank histograms keep the labels honest).
+    pub per_rank: Vec<(upcr::RankSeries, upcr::Histograms)>,
+    /// Each rank's quiesced introspection snapshot as `(text, json)`
+    /// renderings, in rank order. Taken at quiesce, so they are a pure
+    /// function of the program — byte-identical across library versions
+    /// and conduits for the same `(workload, seed)`.
+    pub snapshots: Vec<(String, String)>,
 }
 
-/// The most general runner: choice of conduit *and* an optional background
-/// progress thread ([`upcr::RuntimeConfig::with_progress_thread`]). The
-/// thread is a strict no-op on the simulated (virtual-clock) conduit, so a
-/// thread-on sim run must be byte-identical to a thread-off one — the
-/// differential tests pin exactly that.
-pub fn run_with_options(
+/// What one rank hands back from an [`observe`] run.
+struct RankRun {
+    digest: u64,
+    completions: u64,
+    callbacks_run: u64,
+    net: NetStats,
+    trace: Option<upcr::RankTrace>,
+    hist: upcr::Histograms,
+    net_trace: Vec<gasnex::NetTraceEvent>,
+    series: Option<upcr::RankSeries>,
+    snapshot: (String, String),
+}
+
+/// Run `workload` under `version` with the given seed and optional fault
+/// plan, configured by `setup`: the harness's one workload launch, behind
+/// [`run`], the `simtest` binary, `udprun`'s in-process leg and the bench
+/// documents. Every rank drains the wire after the workload so the
+/// reliability counters are final, and must agree with rank 0 on the
+/// digest and completion count.
+pub fn observe(
     workload: Workload,
     version: LibVersion,
     seed: u64,
     plan: Option<FaultPlan>,
-    transport: Transport,
-    progress_thread: bool,
-) -> (Outcome, Vec<(String, String)>) {
-    let net = match transport {
+    setup: Setup,
+) -> Observed {
+    let net = match setup.transport {
         Transport::Sim => net_for(plan),
         Transport::UdpSocket => net_for_udp(plan),
     };
-    let rt = RuntimeConfig::udp(RANKS, RANKS_PER_NODE)
+    let mut rt = RuntimeConfig::udp(RANKS, RANKS_PER_NODE)
         .with_version(version)
         .with_segment_size(1 << 18)
         .with_net(net)
-        .with_transport(transport)
-        .with_progress_thread(progress_thread);
+        .with_transport(setup.transport)
+        .with_progress_thread(setup.progress_thread);
+    if let Some(a) = setup.agg {
+        rt = rt.with_agg(a);
+    }
     let results = launch(rt, move |u| {
+        if setup.trace {
+            u.trace_enabled(true);
+        }
+        if let Some(cfg) = setup.metrics {
+            u.metrics_config(cfg);
+            u.metrics_enabled(true);
+        }
         let digest = run_workload(u, workload, seed);
+        // Drain duplicate echoes so the reliability counters are final and
+        // deterministic, then snapshot everything.
         u.barrier();
         while u.net_stats().pending > 0 {
             u.progress();
@@ -301,13 +354,56 @@ pub fn run_with_options(
         let s = u.stats();
         let completions = u.allreduce_sum_u64(s.rputs + s.rgets + s.amos + s.rpcs);
         let net = u.net_stats();
-        (digest, completions, net, quiesced_snapshot(u))
+        // The wire-event sink is world-global; rank 0 drains it after the
+        // final barrier so every delivery has been recorded.
+        let net_trace = if setup.trace && u.rank_me() == 0 {
+            u.take_net_trace()
+        } else {
+            Vec::new()
+        };
+        let series = setup.metrics.map(|_| u.take_metrics());
+        RankRun {
+            digest,
+            completions,
+            callbacks_run: s.callbacks_run,
+            net,
+            trace: setup.trace.then(|| u.take_trace()),
+            hist: u.latency_report(),
+            net_trace,
+            series,
+            snapshot: quiesced_snapshot(u),
+        }
     });
-    let net = results[0].2;
-    let per_rank: Vec<(u64, u64)> = results.iter().map(|r| (r.0, r.1)).collect();
-    let snaps: Vec<(String, String)> = results.into_iter().map(|r| r.3).collect();
-    check_rank_agreement(&per_rank, &snaps);
-    (outcome_from(per_rank[0].0, per_rank[0].1, net), snaps)
+    let agreement: Vec<(u64, u64)> = results.iter().map(|r| (r.digest, r.completions)).collect();
+    let snapshots: Vec<(String, String)> = results.iter().map(|r| r.snapshot.clone()).collect();
+    check_rank_agreement(&agreement, &snapshots);
+    let net = results[0].net;
+    let callbacks_run = results.iter().map(|r| r.callbacks_run).sum();
+    let mut bundle = upcr::TraceBundle {
+        ranks: Vec::new(),
+        net: Vec::new(),
+    };
+    let mut hists = upcr::Histograms::new();
+    let mut per_rank = Vec::new();
+    for r in results {
+        bundle.ranks.extend(r.trace);
+        hists.merge(&r.hist);
+        if !r.net_trace.is_empty() {
+            bundle.net = r.net_trace;
+        }
+        if let Some(s) = r.series {
+            per_rank.push((s, r.hist));
+        }
+    }
+    Observed {
+        outcome: outcome_from(agreement[0].0, agreement[0].1, net),
+        net,
+        callbacks_run,
+        bundle,
+        hists,
+        per_rank,
+        snapshots,
+    }
 }
 
 /// Dispatch one workload body on the calling rank.
@@ -377,210 +473,6 @@ pub fn wire_trace_probe(plan: FaultPlan, n: u64) -> (usize, u64) {
 /// injecting identical wire messages.
 pub fn harness_agg(flush_ops: usize) -> AggConfig {
     AggConfig::enabled(flush_ops).with_max_inflight(64)
-}
-
-/// Like [`run`], but with an optional per-target aggregation configuration,
-/// and returning the raw network counter snapshot alongside the outcome so
-/// tests can observe the batching counters (`batches_injected`,
-/// `ops_coalesced`, flush-reason counts) that are deliberately *not* part
-/// of the differential [`Outcome`].
-pub fn run_agg(
-    workload: Workload,
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-    agg: Option<AggConfig>,
-) -> (Outcome, NetStats) {
-    let mut rt = RuntimeConfig::udp(RANKS, RANKS_PER_NODE)
-        .with_version(version)
-        .with_segment_size(1 << 18)
-        .with_net(net_for(plan));
-    if let Some(a) = agg {
-        rt = rt.with_agg(a);
-    }
-    let results = launch(rt, move |u| {
-        let digest = run_workload(u, workload, seed);
-        // Drain duplicate echoes so the reliability counters are final and
-        // deterministic, then snapshot everything.
-        u.barrier();
-        while u.net_stats().pending > 0 {
-            u.progress();
-        }
-        u.barrier();
-        let s = u.stats();
-        let completions = u.allreduce_sum_u64(s.rputs + s.rgets + s.amos + s.rpcs);
-        let net = u.net_stats();
-        (digest, completions, net, quiesced_snapshot(u))
-    });
-    let net = results[0].2;
-    let per_rank: Vec<(u64, u64)> = results.iter().map(|r| (r.0, r.1)).collect();
-    let snaps: Vec<(String, String)> = results.into_iter().map(|r| r.3).collect();
-    check_rank_agreement(&per_rank, &snaps);
-    (outcome_from(per_rank[0].0, per_rank[0].1, net), net)
-}
-
-/// Run the callback-storm workload and return, alongside the outcome, the
-/// world-summed continuation counters the bench gate pins:
-/// `(outcome, callbacks_run, ops_with_callbacks)`. The op count is the
-/// workload's analytic callback-carrying op total (every rank issues
-/// `2 * (RANKS - 1)` callback-completed ops); the run counter is the
-/// *measured* sum of every rank's `callbacks_run` stat, so losing or
-/// double-running a continuation anywhere in the world shows up as a
-/// nonzero `callback_loss` in `BENCH_signals.json`.
-pub fn run_callback_storm_counters(
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-) -> (Outcome, u64, u64) {
-    let rt = RuntimeConfig::udp(RANKS, RANKS_PER_NODE)
-        .with_version(version)
-        .with_segment_size(1 << 18)
-        .with_net(net_for(plan));
-    let results = launch(rt, move |u| {
-        let digest = callback_storm(u, seed);
-        u.barrier();
-        while u.net_stats().pending > 0 {
-            u.progress();
-        }
-        u.barrier();
-        let s = u.stats();
-        let completions = u.allreduce_sum_u64(s.rputs + s.rgets + s.amos + s.rpcs);
-        let callbacks = u.allreduce_sum_u64(s.callbacks_run);
-        (
-            digest,
-            completions,
-            u.net_stats(),
-            callbacks,
-            quiesced_snapshot(u),
-        )
-    });
-    let net = results[0].2;
-    let callbacks = results[0].3;
-    let per_rank: Vec<(u64, u64)> = results.iter().map(|r| (r.0, r.1)).collect();
-    let snaps: Vec<(String, String)> = results.into_iter().map(|r| r.4).collect();
-    check_rank_agreement(&per_rank, &snaps);
-    let ops_with_callbacks = (RANKS * 2 * (RANKS - 1)) as u64;
-    (
-        outcome_from(per_rank[0].0, per_rank[0].1, net),
-        callbacks,
-        ops_with_callbacks,
-    )
-}
-
-/// Like [`run`], but with operation-lifecycle tracing enabled: returns the
-/// outcome plus the assembled trace bundle (every rank's span events and
-/// the world-global wire events) and the cross-rank merged latency
-/// histograms. Used by the `simtest` binary's `--trace-out` mode and the
-/// CI trace-smoke job.
-pub fn run_traced(
-    workload: Workload,
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-) -> (Outcome, upcr::TraceBundle, upcr::Histograms) {
-    let o = run_observed(workload, version, seed, plan, None, None, false);
-    (o.outcome, o.bundle, o.hists)
-}
-
-/// Everything an observed run produced: the differential outcome, the
-/// span-and-wire trace bundle, the cross-rank merged latency histograms,
-/// and — when metric sampling was requested — each rank's sampled
-/// time-series paired with that rank's own histograms (the exporters label
-/// series by rank, so per-rank histograms keep the labels honest).
-pub struct Observed {
-    pub outcome: Outcome,
-    pub bundle: upcr::TraceBundle,
-    pub hists: upcr::Histograms,
-    pub per_rank: Vec<(upcr::RankSeries, upcr::Histograms)>,
-    /// Each rank's quiesced introspection snapshot as `(text, json)`
-    /// renderings, in rank order. Taken at quiesce, so they are a pure
-    /// function of the program — byte-identical across library versions
-    /// and conduits for the same `(workload, seed)`.
-    pub snapshots: Vec<(String, String)>,
-}
-
-/// Superset of [`run_traced`]: lifecycle tracing always on, plus optional
-/// fixed-interval metric sampling on every rank and optional per-target
-/// aggregation. Used by the `simtest` binary's
-/// `--metrics-out`/`--prom-out`/`--agg` modes.
-pub fn run_observed(
-    workload: Workload,
-    version: LibVersion,
-    seed: u64,
-    plan: Option<FaultPlan>,
-    metrics: Option<upcr::MetricsConfig>,
-    agg: Option<AggConfig>,
-    progress_thread: bool,
-) -> Observed {
-    let mut rt = RuntimeConfig::udp(RANKS, RANKS_PER_NODE)
-        .with_version(version)
-        .with_segment_size(1 << 18)
-        .with_net(net_for(plan))
-        .with_progress_thread(progress_thread);
-    if let Some(a) = agg {
-        rt = rt.with_agg(a);
-    }
-    let results = launch(rt, move |u| {
-        u.trace_enabled(true);
-        if let Some(cfg) = metrics {
-            u.metrics_config(cfg);
-            u.metrics_enabled(true);
-        }
-        let digest = run_workload(u, workload, seed);
-        u.barrier();
-        while u.net_stats().pending > 0 {
-            u.progress();
-        }
-        u.barrier();
-        let s = u.stats();
-        let completions = u.allreduce_sum_u64(s.rputs + s.rgets + s.amos + s.rpcs);
-        let net = u.net_stats();
-        // The wire-event sink is world-global; rank 0 drains it after the
-        // final barrier so every delivery has been recorded.
-        let net_trace = if u.rank_me() == 0 {
-            u.take_net_trace()
-        } else {
-            Vec::new()
-        };
-        let series = metrics.map(|_| u.take_metrics());
-        (
-            digest,
-            completions,
-            net,
-            u.take_trace(),
-            u.latency_report(),
-            net_trace,
-            series,
-            quiesced_snapshot(u),
-        )
-    });
-    let (digest, completions, net) = (results[0].0, results[0].1, results[0].2);
-    let agreement: Vec<(u64, u64)> = results.iter().map(|r| (r.0, r.1)).collect();
-    let snapshots: Vec<(String, String)> = results.iter().map(|r| r.7.clone()).collect();
-    check_rank_agreement(&agreement, &snapshots);
-    let mut bundle = upcr::TraceBundle {
-        ranks: Vec::new(),
-        net: Vec::new(),
-    };
-    let mut hists = upcr::Histograms::new();
-    let mut per_rank = Vec::new();
-    for (_, _, _, trace, hist, net_trace, series, _) in results {
-        bundle.ranks.push(trace);
-        hists.merge(&hist);
-        if !net_trace.is_empty() {
-            bundle.net = net_trace;
-        }
-        if let Some(s) = series {
-            per_rank.push((s, hist));
-        }
-    }
-    Observed {
-        outcome: outcome_from(digest, completions, net),
-        bundle,
-        hists,
-        per_rank,
-        snapshots,
-    }
 }
 
 /// Capture this rank's quiesced introspection snapshot as

@@ -16,21 +16,28 @@
 //!    wire messages with an identical memory digest, and replays
 //!    identically.
 
-use simtest::{fault_plans, harness_agg, run, run_agg, Outcome, Workload};
+use simtest::{fault_plans, harness_agg, observe, run, Outcome, Setup, Workload, SEEDS};
 use upcr::{launch, GlobalPtr, LibVersion, RuntimeConfig};
 
-/// The eight fixed seeds the chaos CI job sweeps.
-const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
-
 fn assert_equivalent(w: Workload, seed: u64, label: &str, a: Outcome, b: Outcome) {
-    assert_eq!(
+    // Routed through the harness helper so a digest mismatch auto-dumps
+    // every rank's quiesced introspection snapshot before panicking.
+    simtest::assert_outcomes_match(
+        &format!(
+            "{} seed={seed} {label}: aggregation must preserve observational equivalence",
+            w.name()
+        ),
         a,
         b,
-        "{} seed={} {}: aggregation must preserve observational equivalence",
-        w.name(),
-        seed,
-        label
     );
+}
+
+/// The harness setup with per-target batching at `flush_ops`.
+fn batching(flush_ops: usize) -> Setup {
+    Setup {
+        agg: Some(harness_agg(flush_ops)),
+        ..Setup::default()
+    }
 }
 
 /// Satellite: flush-size-1 aggregation is a semantic no-op. Every candidate
@@ -46,7 +53,8 @@ fn flush_size_one_is_observationally_identical_to_no_aggregation() {
             for (label, plan) in [("plan=none", None), ("plan=combined", Some(combined))] {
                 for w in [Workload::AtomicStorm, Workload::GupsSmall] {
                     let base = run(w, version, seed, plan);
-                    let (agg, stats) = run_agg(w, version, seed, plan, Some(harness_agg(1)));
+                    let o = observe(w, version, seed, plan, batching(1));
+                    let (agg, stats) = (o.outcome, o.net);
                     assert_equivalent(w, seed, label, base, agg);
                     assert!(
                         stats.batches_injected > 0,
@@ -76,9 +84,9 @@ fn eager_defer_equivalent_with_aggregation_under_every_plan() {
                 Workload::AtomicStorm,
                 Workload::GupsSmall,
             ] {
-                let agg = Some(harness_agg(4));
-                let (defer, _) = run_agg(w, LibVersion::V2021_3_6Defer, seed, Some(plan), agg);
-                let (eager, _) = run_agg(w, LibVersion::V2021_3_6Eager, seed, Some(plan), agg);
+                let agg = batching(4);
+                let defer = observe(w, LibVersion::V2021_3_6Defer, seed, Some(plan), agg).outcome;
+                let eager = observe(w, LibVersion::V2021_3_6Eager, seed, Some(plan), agg).outcome;
                 assert_equivalent(w, seed, name, defer, eager);
             }
         }
@@ -93,14 +101,17 @@ fn eager_defer_equivalent_with_aggregation_under_every_plan() {
 fn gups_small_aggregation_reduces_messages_with_identical_digest() {
     let seed = 7;
     let base = run(Workload::GupsSmall, LibVersion::V2021_3_6Eager, seed, None);
-    let agg_cfg = Some(harness_agg(8));
-    let (agg, stats) = run_agg(
-        Workload::GupsSmall,
-        LibVersion::V2021_3_6Eager,
-        seed,
-        None,
-        agg_cfg,
-    );
+    let agg_run = || {
+        let o = observe(
+            Workload::GupsSmall,
+            LibVersion::V2021_3_6Eager,
+            seed,
+            None,
+            batching(8),
+        );
+        (o.outcome, o.net)
+    };
+    let (agg, stats) = agg_run();
     assert_eq!(agg.digest, base.digest, "aggregation must not change state");
     assert_eq!(agg.completions, base.completions);
     assert!(stats.batches_injected > 0, "GUPS must exercise batching");
@@ -116,13 +127,7 @@ fn gups_small_aggregation_reduces_messages_with_identical_digest() {
         agg.injected,
         base.injected
     );
-    let (agg2, stats2) = run_agg(
-        Workload::GupsSmall,
-        LibVersion::V2021_3_6Eager,
-        seed,
-        None,
-        agg_cfg,
-    );
+    let (agg2, stats2) = agg_run();
     assert_eq!(agg, agg2, "aggregated chaos-free run must replay");
     assert_eq!(
         (stats.batches_injected, stats.ops_coalesced, stats.injected),

@@ -16,7 +16,7 @@
 //!   bundle (wall timestamps contradicting a happens-before edge) trips
 //!   the counter.
 
-use simtest::{fault_plans, net_for, run_observed, Workload};
+use simtest::{fault_plans, net_for, observe, Setup, Workload};
 use upcr::metrics::probe::{run as probe_run, run_with_net, ProbeConfig};
 use upcr::trace::{
     assemble, chrome_trace_json_with_flows, parse_json, CausalAssembly, CompletionPath, EventKind,
@@ -32,6 +32,15 @@ fn combined_plan(seed: u64) -> gasnex::FaultPlan {
         .1
 }
 
+/// The harness setup with lifecycle tracing on.
+const TRACED: Setup = Setup {
+    transport: gasnex::Transport::Sim,
+    agg: None,
+    progress_thread: false,
+    trace: true,
+    metrics: None,
+};
+
 fn overall_mean_milli(asm: &CausalAssembly) -> u64 {
     let n = asm.op_chains.len() as u64;
     assert!(n > 0, "assembly has completed op chains");
@@ -40,14 +49,12 @@ fn overall_mean_milli(asm: &CausalAssembly) -> u64 {
 
 #[test]
 fn lamport_stamps_strictly_monotone_per_rank() {
-    let o = run_observed(
+    let o = observe(
         Workload::GupsSmall,
         LibVersion::V2021_3_6Eager,
         42,
         Some(combined_plan(42)),
-        None,
-        None,
-        false,
+        TRACED,
     );
     assert_eq!(o.bundle.ranks.len(), simtest::RANKS);
     for rt in &o.bundle.ranks {
@@ -253,7 +260,7 @@ fn flow_export_parses_and_carries_flow_events() {
 fn virtual_clock_runs_report_zero_violations_across_workloads() {
     for w in Workload::ALL.into_iter().chain([Workload::SignalStorm]) {
         for version in [LibVersion::V2021_3_6Eager, LibVersion::V2021_3_6Defer] {
-            let o = run_observed(w, version, 42, Some(combined_plan(42)), None, None, false);
+            let o = observe(w, version, 42, Some(combined_plan(42)), TRACED);
             let asm = assemble(&o.bundle);
             assert_eq!(
                 asm.violations,

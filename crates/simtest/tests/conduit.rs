@@ -17,8 +17,19 @@
 //!    the wire. Reliability counters are excluded: real-wire
 //!    retransmission races make them schedule-dependent.
 
-use simtest::{fault_plans, run, run_udp, udp_fault_plans, wire_trace_probe, Outcome, Workload};
+use simtest::{
+    fault_plans, observe, run, udp_fault_plans, wire_trace_probe, Outcome, Setup, Workload,
+};
 use upcr::LibVersion;
+
+/// The harness setup on the real loopback-UDP socket conduit.
+const UDP: Setup = Setup {
+    transport: gasnex::Transport::UdpSocket,
+    agg: None,
+    progress_thread: false,
+    trace: false,
+    metrics: None,
+};
 
 /// Pre-refactor PutGetStorm digests, one per harness seed 0..8. The digest
 /// is a pure function of `(workload, seed)` — identical across versions
@@ -203,7 +214,7 @@ fn signal_free_workloads_match_presignal_goldens() {
 fn assert_transport_independent(workload: Workload, seed: u64) {
     for version in [LibVersion::V2021_3_6Eager, LibVersion::V2021_3_6Defer] {
         let sim = run(workload, version, seed, None);
-        let udp = run_udp(workload, version, seed, None);
+        let udp = observe(workload, version, seed, None, UDP).outcome;
         assert_eq!(
             (sim.digest, sim.completions),
             (udp.digest, udp.completions),
@@ -254,12 +265,14 @@ fn udp_socket_signal_storm_survives_wire_faults() {
     // exact (the workload asserts counter == ranks-1 internally).
     for (plan_name, plan) in udp_fault_plans(9) {
         let sim = run(Workload::SignalStorm, LibVersion::V2021_3_6Eager, 9, None);
-        let udp = run_udp(
+        let udp = observe(
             Workload::SignalStorm,
             LibVersion::V2021_3_6Eager,
             9,
             Some(plan),
-        );
+            UDP,
+        )
+        .outcome;
         assert_eq!(
             (sim.digest, sim.completions),
             (udp.digest, udp.completions),
@@ -275,7 +288,7 @@ fn udp_socket_survives_wire_faults_with_identical_digests() {
     for (plan_name, plan) in udp_fault_plans(4) {
         for version in [LibVersion::V2021_3_6Eager, LibVersion::V2021_3_6Defer] {
             let sim = run(Workload::PutGetStorm, version, 4, None);
-            let udp = run_udp(Workload::PutGetStorm, version, 4, Some(plan));
+            let udp = observe(Workload::PutGetStorm, version, 4, Some(plan), UDP).outcome;
             assert_eq!(
                 (sim.digest, sim.completions),
                 (udp.digest, udp.completions),
@@ -302,8 +315,9 @@ fn eager_and_defer_agree_on_every_conduit() {
     // never changes program results, whichever wire carries the traffic.
     let eager_sim = run(Workload::PutGetStorm, LibVersion::V2021_3_6Eager, 6, None);
     let defer_sim = run(Workload::PutGetStorm, LibVersion::V2021_3_6Defer, 6, None);
-    let eager_udp = run_udp(Workload::PutGetStorm, LibVersion::V2021_3_6Eager, 6, None);
-    let defer_udp = run_udp(Workload::PutGetStorm, LibVersion::V2021_3_6Defer, 6, None);
+    let run_udp = |version| observe(Workload::PutGetStorm, version, 6, None, UDP).outcome;
+    let eager_udp = run_udp(LibVersion::V2021_3_6Eager);
+    let defer_udp = run_udp(LibVersion::V2021_3_6Defer);
     assert_eq!(eager_sim.digest, defer_sim.digest);
     assert_eq!(eager_udp.digest, defer_udp.digest);
     assert_eq!(eager_sim.digest, eager_udp.digest);

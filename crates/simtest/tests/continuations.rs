@@ -11,11 +11,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gasnex::Transport;
-use simtest::{fault_plans, run, run_with_options, Outcome, Workload};
+use simtest::{fault_plans, observe, run, Outcome, Setup, Workload, SEEDS};
 use upcr::{launch, LibVersion, RuntimeConfig};
 
-/// The eight fixed seeds the chaos CI job sweeps.
-const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+/// The background progress thread requested, on the simulated conduit.
+const THREAD_ON: Setup = Setup {
+    transport: Transport::Sim,
+    agg: None,
+    progress_thread: true,
+    trace: false,
+    metrics: None,
+};
 
 fn assert_equivalent(seed: u64, plan_name: &str, a: Outcome, b: Outcome) {
     simtest::assert_outcomes_match(
@@ -45,14 +51,14 @@ fn callback_storm_equivalent_under_chaos_with_and_without_thread() {
                 Some(plan),
             );
             assert_equivalent(seed, name, defer, eager);
-            let (threaded, _) = run_with_options(
+            let threaded = observe(
                 Workload::CallbackStorm,
                 LibVersion::V2021_3_6Eager,
                 seed,
                 Some(plan),
-                Transport::Sim,
-                true,
-            );
+                THREAD_ON,
+            )
+            .outcome;
             assert_equivalent(seed, &format!("{name}+thread"), eager, threaded);
             assert!(eager.injected > 0, "callback storm must use the network");
         }
@@ -66,24 +72,18 @@ fn progress_thread_is_noop_under_virtual_clock_to_the_byte() {
     // thread flag on and off, because under ClockMode::Virtual the thread
     // is never spawned.
     let (_, plan) = fault_plans(5).pop().expect("combined plan");
-    let (off, snaps_off) = run_with_options(
-        Workload::CallbackStorm,
-        LibVersion::V2021_3_6Eager,
-        5,
-        Some(plan),
-        Transport::Sim,
-        false,
-    );
-    let (on, snaps_on) = run_with_options(
-        Workload::CallbackStorm,
-        LibVersion::V2021_3_6Eager,
-        5,
-        Some(plan),
-        Transport::Sim,
-        true,
-    );
-    assert_eq!(off, on);
-    for (r, (a, b)) in snaps_off.iter().zip(&snaps_on).enumerate() {
+    let run = |setup| {
+        observe(
+            Workload::CallbackStorm,
+            LibVersion::V2021_3_6Eager,
+            5,
+            Some(plan),
+            setup,
+        )
+    };
+    let (off, on) = (run(Setup::default()), run(THREAD_ON));
+    assert_eq!(off.outcome, on.outcome);
+    for (r, (a, b)) in off.snapshots.iter().zip(&on.snapshots).enumerate() {
         assert_eq!(
             a, b,
             "rank {r}: thread-on snapshot diverged from thread-off under the virtual clock"
@@ -117,14 +117,17 @@ fn callback_storm_agrees_across_sim_and_udp_with_progress_thread() {
     // the simulated thread-off run. Reliability counters are not
     // comparable across conduits (real-wire retransmission races).
     let sim = run(Workload::CallbackStorm, LibVersion::V2021_3_6Eager, 3, None);
-    let (udp, _) = run_with_options(
+    let udp = observe(
         Workload::CallbackStorm,
         LibVersion::V2021_3_6Eager,
         3,
         None,
-        Transport::UdpSocket,
-        true,
-    );
+        Setup {
+            transport: Transport::UdpSocket,
+            ..THREAD_ON
+        },
+    )
+    .outcome;
     assert_eq!(sim.digest, udp.digest, "digest must be conduit-independent");
     assert_eq!(
         sim.completions, udp.completions,

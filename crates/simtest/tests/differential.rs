@@ -9,11 +9,8 @@
 //! with its backoff bounded by the plan.
 
 use gasnex::FaultPlan;
-use simtest::{fault_plans, run, Outcome, Workload};
+use simtest::{fault_plans, run, Outcome, Workload, SEEDS};
 use upcr::LibVersion;
-
-/// The eight fixed seeds the chaos CI job sweeps.
-const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 fn assert_equivalent(w: Workload, seed: u64, plan_name: &str, a: Outcome, b: Outcome) {
     // Routed through the harness helper so a digest mismatch auto-dumps

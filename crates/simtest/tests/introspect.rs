@@ -14,33 +14,25 @@
 //!   deterministically, so the text itself replays byte for byte.
 
 use gasnex::Transport;
-use simtest::{fault_plans, run_with_snapshots, watchdog_stall_demo, Workload};
+use simtest::{fault_plans, observe, watchdog_stall_demo, Setup, Workload};
 use upcr::{launch, LibVersion, RuntimeConfig};
 
 #[test]
 fn quiesced_snapshots_byte_identical_across_versions_and_repeats() {
     let (_, plan) = fault_plans(13).pop().expect("combined plan");
-    let (o_defer, defer) = run_with_snapshots(
-        Workload::SignalStorm,
-        LibVersion::V2021_3_6Defer,
-        13,
-        Some(plan),
-        Transport::Sim,
-    );
-    let (o_eager, eager) = run_with_snapshots(
-        Workload::SignalStorm,
-        LibVersion::V2021_3_6Eager,
-        13,
-        Some(plan),
-        Transport::Sim,
-    );
-    let (_, again) = run_with_snapshots(
-        Workload::SignalStorm,
-        LibVersion::V2021_3_6Eager,
-        13,
-        Some(plan),
-        Transport::Sim,
-    );
+    let run = |version| {
+        let o = observe(
+            Workload::SignalStorm,
+            version,
+            13,
+            Some(plan),
+            Setup::default(),
+        );
+        (o.outcome, o.snapshots)
+    };
+    let (o_defer, defer) = run(LibVersion::V2021_3_6Defer);
+    let (o_eager, eager) = run(LibVersion::V2021_3_6Eager);
+    let (_, again) = run(LibVersion::V2021_3_6Eager);
     assert_eq!(o_defer, o_eager, "outcomes must agree before snapshots can");
     assert_eq!(
         defer, eager,

@@ -9,11 +9,8 @@
 //! empty after consumption) prove every signal was delivered exactly once
 //! no matter how often the wire dropped, duplicated, or reordered it.
 
-use simtest::{fault_plans, run, run_agg, Outcome, Workload, RANKS};
+use simtest::{fault_plans, observe, run, Outcome, Setup, Workload, RANKS, SEEDS};
 use upcr::LibVersion;
-
-/// The eight fixed seeds the chaos CI job sweeps (same as differential.rs).
-const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 fn assert_equivalent(seed: u64, plan_name: &str, a: Outcome, b: Outcome) {
     // Routed through the harness helper so a digest mismatch auto-dumps
@@ -93,13 +90,14 @@ fn duplicated_signal_racing_its_reordered_original_is_promoted_not_reapplied() {
         let plan = upcr::FaultPlan::seeded(seed.wrapping_mul(0xD135_87A9) ^ 0x3C3C)
             .with_dups(600_000)
             .with_reorder(600_000, 12_000);
-        let (o, net) = run_agg(
+        let observed = observe(
             Workload::SignalStorm,
             LibVersion::V2021_3_6Eager,
             seed,
             Some(plan),
-            None,
+            Setup::default(),
         );
+        let (o, net) = (observed.outcome, observed.net);
         assert!(o.dup_suppressed + net.dup_promoted > 0, "seed {seed} inert");
         promoted += net.dup_promoted;
     }
