@@ -64,7 +64,11 @@
 #                    runs fmt --check and clippy -D warnings on it, compiles
 #                    it against the current runtime API and runs its
 #                    self-tests (seed determinism, metric names vs
-#                    BENCHMARK.json, smoke runs of every workload).
+#                    BENCHMARK.json, smoke runs of every workload). Then
+#                    smoke-runs ci/pairs.sh (the alternating parent/change
+#                    pair runner) with the one binary against itself, 2
+#                    pairs x 0.3 s on local-ops, and requires a row for
+#                    every end-to-end metric in BENCHMARK.json.
 #   ./ci.sh watchdog introspection gate: deliberately provoke a partition
 #                    stall (simtest --watchdog-demo) and require the stall
 #                    watchdog's wait-graph diagnosis to name the blocked
@@ -313,7 +317,17 @@ case "$job" in
     echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
     timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-    echo "Perfbench lint and self-tests green."
+    echo "==> ci/pairs.sh smoke: one perfbench binary against itself"
+    cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+    bin=perfbench/target/release/perfbench
+    out="$(mktemp -d)/pairs.txt"
+    timeout 120 ci/pairs.sh "$bin" "$bin" local-ops 2 0.3 1 | tee "$out"
+    for m in $(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
+      sed -n 's/.*"name": *"\([^"]*\)".*/\1/p'); do
+      grep -q "^$m " "$out" || { echo "pairs smoke: no $m row" >&2; exit 1; }
+    done
+
+    echo "Perfbench lint, self-tests and pairs smoke green."
     ;;
   *)
     echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, watchdog, or perf)" >&2

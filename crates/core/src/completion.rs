@@ -334,11 +334,14 @@ impl<'a, V: CxValue> Notifier<'a, V> {
         }
     }
 
-    /// The defer path: run `f` on the op's value from a later progress
-    /// quantum — a `Deferred::Now` entry for a synchronous op, an event
-    /// waiter for an in-flight one (the completion token its delivery
-    /// deposits wakes this exact notification; the progress engine never
-    /// re-tests the op).
+    /// The closure defer path: run `f` on the op's value from a later
+    /// progress quantum — an event waiter for an in-flight op (the
+    /// completion token its delivery deposits wakes this exact
+    /// notification; the progress engine never re-tests the op), a
+    /// `Deferred::Now` entry for a synchronous one. Only `as_lpc` takes
+    /// the latter: a synchronous op's deferred future or promise stores
+    /// its value at initiation and queues a typed `Deferred::Dep` entry
+    /// instead, which boxes nothing.
     fn defer(&self, f: impl FnOnce(V) + 'static) {
         let top = self.top;
         let deliver = move |v| {
@@ -371,13 +374,23 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             // progress-queue traffic.
             return v.into_ready_future();
         }
-        let cell = new_cell::<V>(1);
-        let c = Rc::clone(&cell);
-        self.defer(move |v| {
-            c.set_value(v);
-            c.fulfill(1);
-        });
-        Future::from_cell(cell)
+        match &self.op {
+            Disp::Sync(v) => {
+                let cell = new_cell_with_value(1, v.clone());
+                self.ctx
+                    .push_deferred(Deferred::Dep(Rc::clone(&cell) as _, self.top));
+                Future::from_cell(cell)
+            }
+            Disp::Async(_) => {
+                let cell = new_cell::<V>(1);
+                let c = Rc::clone(&cell);
+                self.defer(move |v| {
+                    c.set_value(v);
+                    c.fulfill(1);
+                });
+                Future::from_cell(cell)
+            }
+        }
     }
 
     /// Operation-completion notification via a promise.
@@ -391,13 +404,26 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             return;
         }
         p.require_anonymous(1);
-        let p = p.clone();
-        self.defer(move |v| {
-            if !is_unit::<V>() {
-                p.set_value_only(v);
+        match &self.op {
+            Disp::Sync(v) => {
+                // The value lands at initiation, as on the eager path; only
+                // the dependency waits for the next progress quantum.
+                if !is_unit::<V>() {
+                    p.set_value_only(v.clone());
+                }
+                self.ctx
+                    .push_deferred(Deferred::Dep(Rc::clone(&p.cell) as _, self.top));
             }
-            p.fulfill_anonymous(1);
-        });
+            Disp::Async(_) => {
+                let p = p.clone();
+                self.defer(move |v| {
+                    if !is_unit::<V>() {
+                        p.set_value_only(v);
+                    }
+                    p.fulfill_anonymous(1);
+                });
+            }
+        }
     }
 
     /// Operation-completion local procedure call.
@@ -441,10 +467,8 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             Future::ready_unit()
         } else {
             let cell = new_cell_with_value(1, ());
-            let c = Rc::clone(&cell);
-            self.ctx.push_deferred(Deferred::Now(Box::new(move || {
-                c.fulfill(1);
-            })));
+            self.ctx
+                .push_deferred(Deferred::Dep(Rc::clone(&cell) as _, TraceOp::NONE));
             Future::from_cell(cell)
         }
     }
@@ -455,9 +479,8 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             bump(&self.ctx.stats.eager_notifications);
         } else {
             p.require_anonymous(1);
-            let p2 = p.clone();
             self.ctx
-                .push_deferred(Deferred::Now(Box::new(move || p2.fulfill_anonymous(1))));
+                .push_deferred(Deferred::Dep(Rc::clone(&p.cell) as _, TraceOp::NONE));
         }
     }
 }
@@ -870,6 +893,56 @@ mod tests {
             let s = u.stats();
             assert_eq!(s.callbacks_run, 2);
             assert_eq!(s.callbacks_deferred, 1, "the nested enqueue was deferred");
+            u.barrier();
+        });
+    }
+
+    #[test]
+    fn deferred_future_and_promise_hold_their_value_from_initiation() {
+        // A synchronously completed op's deferred future, and a deferred
+        // value promise, get the value at initiation; only readiness waits
+        // for the next progress quantum.
+        launch(RuntimeConfig::smp(1).with_segment_size(1 << 16), |u| {
+            let p = u.new_::<u64>(41);
+            let ran = Rc::new(Cell::new(0));
+            let f = u.rget_with(p, operation_cx::as_defer_future());
+            let pr = Promise::<u64>::with_value();
+            u.rget_with(p, operation_cx::as_defer_promise(&pr));
+            let g = pr.finalize();
+            let thens = [&f, &g].map(|fut| {
+                assert!(fut.cell.has_value(), "value stored at initiation");
+                assert!(!fut.is_ready(), "readiness waits for progress");
+                let ran = Rc::clone(&ran);
+                fut.then(move |v| {
+                    ran.set(ran.get() + 1);
+                    v
+                })
+            });
+            u.rput(42, p).wait();
+            assert_eq!(ran.get(), 0, "no `then` runs before progress");
+            u.progress();
+            assert_eq!(ran.get(), 2);
+            assert_eq!((f.result(), g.result()), (41, 41));
+            assert_eq!(thens.map(|t| t.result()), [41, 41]);
+            u.barrier();
+        });
+    }
+
+    #[test]
+    fn deferred_value_promise_fulfilled_twice_panics_at_initiation() {
+        launch(RuntimeConfig::smp(1).with_segment_size(1 << 16), |u| {
+            let p = u.new_::<u64>(5);
+            let pr = Promise::<u64>::with_value();
+            u.rget_with(p, operation_cx::as_defer_promise(&pr));
+            let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                u.rget_with(p, operation_cx::as_defer_promise(&pr));
+            }));
+            let msg = *second
+                .expect_err("a second value for one promise must panic at initiation")
+                .downcast::<&str>()
+                .expect("a static panic message");
+            assert!(msg.contains("fulfilled twice"), "{msg}");
+            u.progress();
             u.barrier();
         });
     }

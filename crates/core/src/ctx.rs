@@ -20,7 +20,7 @@ use gasnex::net::NetAction;
 use gasnex::{Batch, ClockMode, Coalescer, ConduitKind, FlushReason, Push, Rank, World};
 
 use crate::continuation::{Callback, CallbackQueue, WorldShared};
-use crate::future::cell::{shared_ready_unit_cell, Cell};
+use crate::future::cell::{shared_ready_unit_cell, Cell, Discharge};
 use crate::metrics::{MetricSeries, MetricsConfig};
 use crate::slab::Slab;
 use crate::stats::{add, bump, raise, Stats};
@@ -49,7 +49,13 @@ pub(crate) struct Waiter {
 pub(crate) enum Deferred {
     /// The operation already completed synchronously, but the requested
     /// semantics defer its notification to the next progress call (legacy
-    /// behaviour, and the explicit `as_defer_*` factories).
+    /// behaviour, and the explicit `as_defer_*` factories). The future's or
+    /// promise's cell already holds the op's value; delivery discharges the
+    /// dependency the op holds on it, then closes the op's trace span
+    /// ([`TraceOp::NONE`] for a source completion, which has none).
+    Dep(Rc<dyn Discharge>, TraceOp),
+    /// Run a closure at the next progress call: the deferred local
+    /// procedure call of a synchronously completed op (`as_lpc`).
     Now(Box<dyn FnOnce()>),
     /// Deliver once an arbitrary condition holds (asynchronous collectives:
     /// the progress engine polls the predicate).
@@ -290,7 +296,7 @@ impl RankCtx {
         self.replies.borrow_mut().insert(k) as u64
     }
 
-    /// Enqueue a rank-local deferred notification (`Now` or `OnCheck`).
+    /// Enqueue a rank-local deferred notification.
     pub fn push_deferred(&self, d: Deferred) {
         bump(&self.stats.deferred_enqueued);
         self.deferred.borrow_mut().push_back(d);
@@ -381,9 +387,9 @@ impl RankCtx {
     /// 2. Drain the ready queue: each token wakes exactly the notification
     ///    of the op that completed, in deposit order — O(ready), not
     ///    O(pending).
-    /// 3. Deliver rank-local deferred entries: `Now` unconditionally,
-    ///    `OnCheck` when its predicate holds (the only residual polling,
-    ///    used by asynchronous collectives).
+    /// 3. Deliver rank-local deferred entries in FIFO order: `Dep` and
+    ///    `Now` unconditionally, `OnCheck` when its predicate holds (the
+    ///    only residual polling, used by asynchronous collectives).
     ///
     /// Returns the number of work items processed. Re-entrant calls (from
     /// callbacks running inside progress) return 0 immediately, mirroring
@@ -443,6 +449,11 @@ impl RankCtx {
                 break;
             };
             match item {
+                Deferred::Dep(cell, top) => {
+                    cell.discharge();
+                    self.trace_notify(top, CompletionPath::Deferred);
+                    n += 1;
+                }
                 Deferred::Now(f) => {
                     f();
                     n += 1;
@@ -708,12 +719,17 @@ mod tests {
             let log = Rc::clone(&log);
             if i == 1 {
                 token = Some(await_fn(&ctx, move || log.borrow_mut().push(i)));
+            } else if i == 2 {
+                let cell = crate::future::cell::new_cell_with_value(1, ());
+                cell.add_cb(move |()| log.borrow_mut().push(i));
+                ctx.push_deferred(Deferred::Dep(cell, TraceOp::NONE));
             } else {
                 ctx.push_deferred(Deferred::Now(Box::new(move || log.borrow_mut().push(i))));
             }
         }
         ctx.progress_quantum();
-        // 1 waits for its token; everything else delivered in order.
+        // 1 waits for its token; everything else (`Now` and `Dep` entries
+        // alike) delivered in order.
         assert_eq!(*log.borrow(), vec![0, 2, 3]);
         deposit(&ctx, token.unwrap());
         ctx.progress_quantum();

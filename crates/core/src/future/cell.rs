@@ -16,13 +16,61 @@ use crate::ctx::note_cell_alloc;
 
 type Callback<T> = Box<dyn FnOnce(T)>;
 
-/// A pending cell's readiness callbacks, in registration order. A lone
-/// callback is stored inline: an operation's future or a `when_all` node
-/// usually has exactly one consumer, so it allocates no list.
+/// A cell seen only as a dependency counter: what a deferred-queue entry
+/// or a `when_all` edge needs of the cell it readies, whatever its value
+/// type.
+pub(crate) trait Discharge {
+    /// Discharge one outstanding dependency (see [`Cell::fulfill`]).
+    fn discharge(&self);
+}
+
+impl<T: Clone> Discharge for Cell<T> {
+    fn discharge(&self) {
+        self.fulfill(1);
+    }
+}
+
+/// A pending cell's consumers, in registration order. A lone consumer is
+/// stored inline: an operation's future or a `when_all` node usually has
+/// exactly one, so it allocates no list. A consumer is a boxed callback on
+/// the value or a dependency edge into another cell, which takes no box.
 enum Callbacks<T> {
     Empty,
     One(Callback<T>),
-    Many(Vec<Callback<T>>),
+    Dep(Rc<dyn Discharge>),
+    /// Two or more consumers, each a `One` or a `Dep`.
+    Many(Vec<Callbacks<T>>),
+}
+
+impl<T: Clone> Callbacks<T> {
+    /// Append `next` (a `One` or a `Dep`) after the consumers already here.
+    fn push(&mut self, next: Callbacks<T>) {
+        *self = match std::mem::replace(self, Callbacks::Empty) {
+            Callbacks::Empty => next,
+            Callbacks::Many(mut all) => {
+                all.push(next);
+                Callbacks::Many(all)
+            }
+            first => Callbacks::Many(vec![first, next]),
+        };
+    }
+
+    /// Run every consumer once, in registration order.
+    fn run(self, v: T) {
+        match self {
+            Callbacks::Empty => {}
+            Callbacks::One(cb) => cb(v),
+            Callbacks::Dep(cell) => cell.discharge(),
+            Callbacks::Many(mut all) => {
+                // The last consumer takes the value by move.
+                let last = all.pop().expect("a consumer list holds two or more");
+                for c in all {
+                    c.run(v.clone());
+                }
+                last.run(v);
+            }
+        }
+    }
 }
 
 enum State<T> {
@@ -102,6 +150,15 @@ impl<T: Clone> Cell<T> {
         }
     }
 
+    /// Whether the cell holds its value (ready, or pending with a value).
+    #[cfg(test)]
+    pub fn has_value(&self) -> bool {
+        match &*self.state.borrow() {
+            State::Pending { value, .. } => value.is_some(),
+            State::Ready(_) => true,
+        }
+    }
+
     /// Supply the result value. Panics if a value is already present.
     pub fn set_value(&self, v: T) {
         match &mut *self.state.borrow_mut() {
@@ -156,57 +213,33 @@ impl<T: Clone> Cell<T> {
                 State::Ready(_) => panic!("promise fulfilled after readiness"),
             }
         };
-        match run {
-            None | Some((_, Callbacks::Empty)) => {}
-            Some((v, Callbacks::One(cb))) => cb(v),
-            Some((v, Callbacks::Many(mut cbs))) => {
-                // The last callback takes the value by move.
-                let last = cbs.pop().expect("a callback list holds two or more");
-                for cb in cbs {
-                    cb(v.clone());
-                }
-                last(v);
-            }
+        if let Some((v, cbs)) = run {
+            cbs.run(v);
         }
     }
 
     /// Register `f` to run with the value when the cell becomes ready; runs
     /// immediately (with a clone) if already ready.
     pub fn add_cb(&self, f: impl FnOnce(T) + 'static) {
-        let ready_val = {
-            let mut st = self.state.borrow_mut();
-            match &mut *st {
-                State::Pending { .. } => None,
-                State::Ready(v) => Some(v.clone()),
+        let v = match &mut *self.state.borrow_mut() {
+            State::Pending { cbs, .. } => {
+                cbs.push(Callbacks::One(Box::new(f)));
+                return;
             }
+            State::Ready(v) => v.clone(),
         };
-        match ready_val {
-            Some(v) => f(v),
-            None => {
-                let mut st = self.state.borrow_mut();
-                match &mut *st {
-                    State::Pending { cbs, .. } => {
-                        let f: Callback<T> = Box::new(f);
-                        *cbs = match std::mem::replace(cbs, Callbacks::Empty) {
-                            Callbacks::Empty => Callbacks::One(f),
-                            Callbacks::One(first) => Callbacks::Many(vec![first, f]),
-                            Callbacks::Many(mut all) => {
-                                all.push(f);
-                                Callbacks::Many(all)
-                            }
-                        };
-                    }
-                    // A callback running between our two borrows cannot
-                    // ready the cell (we hold the only execution context),
-                    // but stay defensive.
-                    State::Ready(v) => {
-                        let v = v.clone();
-                        drop(st);
-                        f(v);
-                    }
-                }
-            }
+        f(v);
+    }
+
+    /// Register an edge that discharges one dependency of `cell` when this
+    /// cell becomes ready, or at once if it already is. Unlike
+    /// [`add_cb`](Self::add_cb), it boxes nothing.
+    pub fn add_dep(&self, cell: Rc<dyn Discharge>) {
+        if let State::Pending { cbs, .. } = &mut *self.state.borrow_mut() {
+            cbs.push(Callbacks::Dep(cell));
+            return;
         }
+        cell.discharge();
     }
 }
 
@@ -249,6 +282,52 @@ mod tests {
         c.set_value(9);
         c.fulfill(1);
         assert_eq!(*log.borrow(), vec![(0, 9), (1, 9), (2, 9)]);
+    }
+
+    /// Register a consumer on `c` that logs `tag` when `c` readies: a boxed
+    /// callback, or a dependency edge into a fresh one-dep cell whose own
+    /// callback logs.
+    fn consume(c: &Cell<u32>, log: &Rc<RefCell<Vec<String>>>, tag: String, edge: bool) {
+        let log = Rc::clone(log);
+        if edge {
+            let target = new_cell_with_value(1, ());
+            target.add_cb(move |()| log.borrow_mut().push(tag));
+            c.add_dep(target);
+        } else {
+            c.add_cb(move |_| log.borrow_mut().push(tag));
+        }
+    }
+
+    #[test]
+    fn mixed_callbacks_and_edges_run_once_in_registration_order() {
+        // `One`, `Dep`, and `Many` lists mixing both kinds.
+        for edges in [
+            &[true][..],
+            &[false],
+            &[true, false],
+            &[false, true, true, false],
+        ] {
+            let c = new_cell::<u32>(1);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let tags: Vec<String> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &edge)| format!("{}{i}", if edge { "edge" } else { "cb" }))
+                .collect();
+            for (tag, &edge) in tags.iter().zip(edges) {
+                consume(&c, &log, tag.clone(), edge);
+            }
+            assert!(log.borrow().is_empty(), "nothing runs before readiness");
+            c.set_value(4);
+            c.fulfill(1);
+            assert_eq!(*log.borrow(), tags, "{edges:?}");
+            // An edge added to a ready cell discharges at once; nothing
+            // registered earlier runs again.
+            consume(&c, &log, "late".into(), true);
+            let mut all = tags.clone();
+            all.push("late".into());
+            assert_eq!(*log.borrow(), all, "{edges:?}");
+        }
     }
 
     #[test]

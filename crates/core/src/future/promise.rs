@@ -34,7 +34,7 @@ use super::future::Future;
 /// });
 /// ```
 pub struct Promise<T: Clone + 'static = ()> {
-    cell: Rc<Cell<T>>,
+    pub(crate) cell: Rc<Cell<T>>,
     finalized: Rc<StdCell<bool>>,
 }
 

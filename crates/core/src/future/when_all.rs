@@ -55,11 +55,11 @@ pub fn conjoin(a: Future<()>, b: Future<()>) -> Future<()> {
     }
     note_when_all_node();
     let top = crate::ctx::trace_op_init(OpKind::WhenAll, true);
+    // Each input discharges one of the node's two dependencies through an
+    // edge: the node is the only allocation.
     let cell = new_cell_with_value(2, ());
-    let c1 = Rc::clone(&cell);
-    a.on_ready(move |_| c1.fulfill(1));
-    let c2 = Rc::clone(&cell);
-    b.on_ready(move |_| c2.fulfill(1));
+    a.cell.add_dep(Rc::clone(&cell) as _);
+    b.cell.add_dep(Rc::clone(&cell) as _);
     let f = Future::from_cell(cell);
     if !top.is_none() {
         // Graph-node conjunctions resolve from the progress engine; the
@@ -86,8 +86,7 @@ pub fn when_all_value<T: Clone + 'static>(v: Future<T>, u: Future<()>) -> Future
         c1.set_value(val);
         c1.fulfill(1);
     });
-    let c2 = Rc::clone(&cell);
-    u.on_ready(move |_| c2.fulfill(1));
+    u.cell.add_dep(Rc::clone(&cell) as _);
     Future::from_cell(cell)
 }
 
@@ -230,6 +229,31 @@ mod tests {
         assert!(!f.is_ready());
         cu.fulfill(1);
         assert_eq!(f.result(), 5);
+    }
+
+    #[test]
+    fn when_all_value_pending_unit_side_readies_through_its_edge() {
+        // Both inputs pending; the unit side's edge readies the node, in
+        // either fulfillment order.
+        for unit_last in [true, false] {
+            let vc = new_cell::<u32>(1);
+            let (u, cu) = pending_unit();
+            let f = when_all_value(Future::from_cell(Rc::clone(&vc)), u);
+            let fulfill_value = || {
+                vc.set_value(6);
+                vc.fulfill(1);
+            };
+            if unit_last {
+                fulfill_value();
+                assert!(!f.is_ready());
+                cu.fulfill(1);
+            } else {
+                cu.fulfill(1);
+                assert!(!f.is_ready());
+                fulfill_value();
+            }
+            assert_eq!(f.result(), 6, "unit_last {unit_last}");
+        }
     }
 
     #[test]

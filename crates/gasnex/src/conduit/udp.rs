@@ -54,6 +54,11 @@
 //!   or duplicated frame finds the table empty, is counted as
 //!   `dup_suppressed`, and is re-ACKed (the original ACK may have been the
 //!   lost packet). No unbounded seen-set is needed.
+//! * Every DATA or SIGNAL frame is ACKed after its action ran (or its
+//!   duplicate was recorded), never before: the ACK is a `send_to` of its
+//!   own, and the op's completion should not wait behind it. An ACK that
+//!   arrives later than the retransmission deadline only costs a
+//!   suppressed duplicate.
 //! * An ACK removes the `unacked` entry. ACKs are not themselves acked;
 //!   a lost ACK surfaces as a retransmission plus a suppressed dup.
 //!
@@ -335,18 +340,9 @@ impl UdpConduit {
                 KIND_DATA | KIND_SIGNAL => {
                     work += 1;
                     let parked = self.payloads.lock().unwrap().remove(&frame.msg);
-                    // ACK first (either way): if our earlier ACK was lost
-                    // the sender is still retransmitting and needs another.
-                    let ack = Frame {
-                        kind: KIND_ACK,
-                        msg: frame.msg,
-                        attempt: frame.attempt,
-                        src_node: node as u32,
-                        lclock: 0,
-                    }
-                    .encode();
-                    let _ = self.sockets[node]
-                        .send_to(&ack, self.addrs[frame.src_node as usize % self.addrs.len()]);
+                    // Deliver (or record the duplicate) first, so the ACK's
+                    // send_to does not sit between the frame's arrival and
+                    // the op's completion.
                     match parked {
                         Some(parked) => {
                             // Lamport receive of the stamp the frame
@@ -374,6 +370,18 @@ impl UdpConduit {
                             self.core.note_dup_suppressed();
                         }
                     }
+                    // Then ACK, either way: if our earlier ACK was lost the
+                    // sender is still retransmitting and needs another.
+                    let ack = Frame {
+                        kind: KIND_ACK,
+                        msg: frame.msg,
+                        attempt: frame.attempt,
+                        src_node: node as u32,
+                        lclock: 0,
+                    }
+                    .encode();
+                    let _ = self.sockets[node]
+                        .send_to(&ack, self.addrs[frame.src_node as usize % self.addrs.len()]);
                 }
                 KIND_ACK => {
                     self.unacked.lock().unwrap().remove(&frame.msg);
