@@ -68,7 +68,9 @@
 #                    smoke-runs ci/pairs.sh (the alternating parent/change
 #                    pair runner) with the one binary against itself, 2
 #                    pairs x 0.3 s on local-ops, and requires a row for
-#                    every end-to-end metric in BENCHMARK.json.
+#                    every end-to-end metric in BENCHMARK.json, and
+#                    smoke-runs ci/linedelta.sh (the non-test/test Rust
+#                    line delta) against HEAD, requiring both rows.
 #   ./ci.sh watchdog introspection gate: deliberately provoke a partition
 #                    stall (simtest --watchdog-demo) and require the stall
 #                    watchdog's wait-graph diagnosis to name the blocked
@@ -327,7 +329,15 @@ case "$job" in
       grep -q "^$m " "$out" || { echo "pairs smoke: no $m row" >&2; exit 1; }
     done
 
-    echo "Perfbench lint, self-tests and pairs smoke green."
+    echo "==> ci/linedelta.sh smoke: the working tree against HEAD"
+    delta="$(ci/linedelta.sh HEAD)"
+    echo "$delta"
+    for label in non-test test; do
+      echo "$delta" | grep -Eq "^$label +\+[0-9]+/−[0-9]+ \((\+|−)[0-9]+\)$" ||
+        { echo "linedelta smoke: no $label row" >&2; exit 1; }
+    done
+
+    echo "Perfbench lint, self-tests, pairs and linedelta smokes green."
     ;;
   *)
     echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, watchdog, or perf)" >&2

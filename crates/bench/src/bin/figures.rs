@@ -359,7 +359,6 @@ fn fig_2_3_4_micro(args: &Args) {
             &VERSIONS.iter().map(|v| v.to_string()).collect::<Vec<_>>()
         )
     );
-    let mut measured: Vec<(MicroOp, LibVersion, f64)> = Vec::new();
     for op in MicroOp::ALL {
         let cells: Vec<String> = VERSIONS
             .iter()
@@ -368,28 +367,49 @@ fn fig_2_3_4_micro(args: &Args) {
                     return "n/a".to_string();
                 }
                 let ns = best_half_mean(samples, || micro::ns_per_op(v, op, iters, |_| {}));
-                measured.push((op, v, ns));
                 format!("{ns:.1} ns")
             })
             .collect();
         println!("{}", fmt_row(op.name(), &cells));
     }
-    // Headline ratios the paper reports, from the table's own cells.
-    let cell = |op, v| {
-        let m = measured.iter().find(|m| m.0 == op && m.1 == v);
-        m.expect("the op exists under the version").2
+    // Headline ratios the paper reports. Each round times the ratio's two
+    // ops back to back, alternating which goes first, so a host phase
+    // between two table cells cannot move the ratio.
+    let ratio = |num: (MicroOp, LibVersion), den: (MicroOp, LibVersion)| {
+        let time = |(op, v): (MicroOp, LibVersion)| micro::ns_per_op(v, op, iters, |_| {});
+        let mut r: Vec<f64> = (0..samples.max(1))
+            .map(|i| {
+                if i % 2 == 0 {
+                    let n = time(num);
+                    n / time(den)
+                } else {
+                    let d = time(den);
+                    time(num) / d
+                }
+            })
+            .collect();
+        r.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let n = r.len();
+        let pct = |x: f64| 100.0 * (x - 1.0);
+        format!(
+            "{:.0}% [{:.0}-{:.0}%] median [min-max] of {n} interleaved rounds",
+            pct((r[(n - 1) / 2] + r[n / 2]) / 2.0),
+            pct(r[0]),
+            pct(r[n - 1])
+        )
     };
-    let put_defer = cell(MicroOp::Put, LibVersion::V2021_3_6Defer);
-    let put_eager = cell(MicroOp::Put, LibVersion::V2021_3_6Eager);
-    let fa_v = cell(MicroOp::AmoFetchAdd, LibVersion::V2021_3_6Eager);
-    let fa_m = cell(MicroOp::AmoFetchAddInto, LibVersion::V2021_3_6Eager);
+    let put = |v| (MicroOp::Put, v);
     println!(
-        "\n  eager vs defer put speedup: {:.0}%  (paper: 92-95%)",
-        100.0 * (put_defer / put_eager - 1.0)
+        "\n  eager vs defer put speedup: {}  (paper: 92-95%)",
+        ratio(
+            put(LibVersion::V2021_3_6Defer),
+            put(LibVersion::V2021_3_6Eager)
+        )
     );
+    let eager = |op| (op, LibVersion::V2021_3_6Eager);
     println!(
-        "  non-value vs value fetch-add (eager): {:.0}%  (paper: 66-90%)\n",
-        100.0 * (fa_v / fa_m - 1.0)
+        "  non-value vs value fetch-add (eager): {}  (paper: 66-90%)\n",
+        ratio(eager(MicroOp::AmoFetchAdd), eager(MicroOp::AmoFetchAddInto))
     );
 }
 

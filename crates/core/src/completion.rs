@@ -29,10 +29,9 @@
 //! progress queue, as all notifications were through release 2021.3.0.
 
 use std::any::TypeId;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use gasnex::net::NetAction;
 use gasnex::{Rank, World};
@@ -65,8 +64,9 @@ pub enum Mode {
 /// The one interesting method distinguishes `()` — whose ready futures can
 /// share the pre-allocated cell — from value-carrying types, which must
 /// allocate storage for the value ("the value must be stored somewhere",
-/// §III-B).
-pub trait CxValue: Clone + Send + 'static {
+/// §III-B). `Sync` because an in-flight op's value is written once on the
+/// delivering thread and read on the initiator's.
+pub trait CxValue: Clone + Send + Sync + 'static {
     /// Build a ready future carrying `self` for an eagerly-completed
     /// operation.
     fn into_ready_future(self) -> Future<Self>;
@@ -107,109 +107,86 @@ pub(crate) enum Disp<'a, V: CxValue> {
     /// Synchronously, during initiation, producing `V` — eligible for eager
     /// notification.
     Sync(V),
-    /// Asynchronously: the op's notifications are filed in its
-    /// [`RemoteDone`] before it is injected.
-    Async(&'a Arc<RemoteDone<V>>),
+    /// Asynchronously: the op's notifications go into a [`Filing`], which
+    /// [`RankCtx::file`] turns into the op's [`Completion`].
+    Async(&'a Filing<V>),
 }
 
-const POISONED: &str = "a thread panicked while holding an op's completion record";
+/// An in-flight op's continuation callback (`as_callback`).
+type ValueCallback<V> = Box<dyn FnOnce(V) + Send>;
 
-/// [`RemoteDone::slot`] of an op that filed no deferred waiter.
-const NO_WAITER: u64 = u64::MAX;
-
-/// The completion record of one off-node operation, written in full by
-/// its initiator before the operation is injected: the slot of its first
-/// deferred waiter, with that token's trace id, and a sink for its
-/// continuation callbacks. The inject publishes the record to whichever
-/// thread runs the delivery action, which stores the op's value, deposits
-/// the waiter's token in the initiator's ready queue and enqueues the
-/// callbacks. Nothing is written after the inject, so no arm can race
-/// the delivery. One allocation per op, whatever `V` is.
-pub(crate) struct RemoteDone<V> {
-    initiator: Rank,
-    /// The first deferred waiter's slot, or [`NO_WAITER`]. Later requests
-    /// chain behind that waiter and wake with its token. Relaxed, like
-    /// `trace`: both are stored before the inject, and the conduit's
-    /// hand-off of the action publishes them to the delivering thread.
-    slot: AtomicU64,
-    /// The first deferred waiter's token trace id.
-    trace: AtomicU64,
-    state: Mutex<DoneState<V>>,
+/// The notifications `cx.notify` files for one in-flight operation, on
+/// the initiator's stack.
+pub(crate) struct Filing<V> {
+    /// The first deferred waiter's slot and token trace id.
+    first: Cell<Option<(usize, u64)>>,
+    /// The latest deferred waiter: a later request chains behind it and
+    /// wakes with the first one's token.
+    last: Cell<Option<usize>>,
+    /// The op's value, made with the first deferred waiter: written once
+    /// by the op's completion, read by its waiters after the token.
+    value: OnceCell<Arc<OnceLock<V>>>,
+    callbacks: RefCell<Vec<ValueCallback<V>>>,
 }
 
-/// What the delivery action writes and takes under one lock.
-struct DoneState<V> {
-    /// The op's value, read by its deferred waiters once the token
-    /// surfaces.
-    value: Option<V>,
+impl<V: CxValue> Filing<V> {
+    /// File `deliver` to run on the op's value once its token surfaces.
+    fn file_waiter(&self, ctx: &RankCtx, deliver: impl FnOnce(V) + 'static) {
+        let value = Arc::clone(self.value.get_or_init(Default::default));
+        let run = Box::new(move || {
+            let v = value
+                .get()
+                .expect("operation token deposited before its value was stored");
+            deliver(v.clone())
+        });
+        let (slot, trace) = ctx.await_token(self.last.get(), run);
+        if self.last.replace(Some(slot)).is_none() {
+            self.first.set(Some((slot, trace)));
+        }
+    }
+}
+
+/// The completion of one in-flight operation, moved by value into the
+/// op's last hop. Whichever thread runs that hop calls
+/// [`complete`](Self::complete) with the op's value; the initiator shares
+/// only the write-once value slot with it.
+pub(crate) struct Completion<V> {
+    token: Option<Token<V>>,
     sink: Option<Box<CallbackSink<V>>>,
 }
 
-/// The continuation callbacks of one off-node op, with what the
-/// delivering thread needs to enqueue them on the initiator's behalf.
+/// The token that wakes an op's deferred waiters, with the value slot
+/// they read.
+struct Token<V> {
+    initiator: Rank,
+    slot: u64,
+    trace: u64,
+    value: Arc<OnceLock<V>>,
+}
+
+/// The continuation callbacks of one in-flight op, with what the
+/// completing thread needs to enqueue them on the initiator's behalf.
 struct CallbackSink<V> {
-    callbacks: Vec<Box<dyn FnOnce(V) + Send>>,
+    callbacks: Vec<ValueCallback<V>>,
     queue: Arc<CallbackQueue>,
     stats: Arc<Stats>,
     top: TraceOp,
 }
 
-impl<V: CxValue> RemoteDone<V> {
-    fn new(initiator: Rank) -> Self {
-        RemoteDone {
-            initiator,
-            slot: AtomicU64::new(NO_WAITER),
-            trace: AtomicU64::new(0),
-            state: Mutex::new(DoneState {
-                value: None,
-                sink: None,
-            }),
-        }
-    }
-
-    fn value(&self) -> V {
-        let v = self.state.lock().expect(POISONED).value.clone();
-        v.expect("operation token deposited before its value was stored")
-    }
-
-    /// Record the op's first deferred waiter (initiator, before the
-    /// inject).
-    fn file_token(&self, slot: usize, trace: u64) {
-        self.trace.store(trace, Ordering::Relaxed);
-        self.slot.store(slot as u64, Ordering::Relaxed);
-    }
-
-    /// Add a continuation callback (initiator, before the inject).
-    fn file_callback(&self, ctx: &RankCtx, top: TraceOp, f: Box<dyn FnOnce(V) + Send>) {
-        let mut st = self.state.lock().expect(POISONED);
-        let sink = st.sink.get_or_insert_with(|| {
-            Box::new(CallbackSink {
-                callbacks: Vec::new(),
-                queue: Arc::clone(&ctx.callbacks),
-                stats: Arc::clone(&ctx.stats),
-                top,
-            })
-        });
-        sink.callbacks.push(f);
-    }
-
-    /// The delivery action's half, on the delivering thread: store `v`,
-    /// deposit the first waiter's token, then enqueue the callbacks.
-    fn complete(&self, world: &World, v: V) {
-        let sink = {
-            let mut st = self.state.lock().expect(POISONED);
-            let sink = st.sink.take().map(|sink| (sink, v.clone()));
-            st.value = Some(v);
-            sink
-        };
-        let slot = self.slot.load(Ordering::Relaxed);
-        if slot != NO_WAITER {
-            world.deposit_token(self.initiator, slot, self.trace.load(Ordering::Relaxed));
+impl<V: CxValue> Completion<V> {
+    /// Store `v`, deposit the first waiter's token in the initiator's
+    /// ready queue, then enqueue the callbacks. The value is stored before
+    /// the token is pushed, so a waiter the token wakes always finds it.
+    pub(crate) fn complete(self, world: &World, v: V) {
+        let sink = self.sink.map(|sink| (sink, v.clone()));
+        if let Some(t) = self.token {
+            assert!(t.value.set(v).is_ok(), "operation completed twice");
+            world.deposit_token(t.initiator, t.slot, t.trace);
         }
         if let Some((sink, v)) = sink {
             for f in sink.callbacks {
                 let v = v.clone();
-                // The delivering thread may be mid-drain of this very
+                // The completing thread may be mid-drain of this very
                 // queue (a callback issued the op): count the deferral,
                 // exactly as enqueue_callback does on the rank thread.
                 if sink.queue.push(Box::new(move || f(v)), sink.top) {
@@ -235,11 +212,50 @@ pub(crate) enum Wire {
 }
 
 impl RankCtx {
+    /// The one way to file an asynchronous op's notifications: run
+    /// `cx.notify` before the op leaves, and return the call's output with
+    /// the op's [`Completion`] for its last hop to complete.
+    pub(crate) fn file<V: CxValue, C: Completions<V>>(
+        &self,
+        cx: C,
+        top: TraceOp,
+    ) -> (C::Out, Completion<V>) {
+        let filing = Filing {
+            first: Cell::new(None),
+            last: Cell::new(None),
+            value: OnceCell::new(),
+            callbacks: RefCell::new(Vec::new()),
+        };
+        let out = cx.notify(&Notifier {
+            ctx: self,
+            op: Disp::Async(&filing),
+            top,
+        });
+        let token = filing.first.get().zip(filing.value.into_inner());
+        let callbacks = filing.callbacks.into_inner();
+        let done = Completion {
+            token: token.map(|((slot, trace), value)| Token {
+                initiator: self.me,
+                slot: slot as u64,
+                trace,
+                value,
+            }),
+            sink: (!callbacks.is_empty()).then(|| {
+                Box::new(CallbackSink {
+                    callbacks,
+                    queue: Arc::clone(&self.callbacks),
+                    stats: Arc::clone(&self.stats),
+                    top,
+                })
+            }),
+        };
+        (out, done)
+    }
+
     /// The off-node half of every communication operation: file `cx`'s
-    /// notifications in the op's completion record, then inject
-    /// `movement` toward `target` over `wire`. The delivery action runs
-    /// `movement` on the target side and completes the record with the
-    /// value it produces.
+    /// notifications, then inject `movement` toward `target` over `wire`.
+    /// The delivery action runs `movement` on the target side and
+    /// completes the op with the value it produces.
     pub(crate) fn inject_op<V: CxValue, C: Completions<V>>(
         &self,
         cx: C,
@@ -249,17 +265,8 @@ impl RankCtx {
         movement: impl FnOnce(&World) -> V + Send + 'static,
     ) -> C::Out {
         bump(&self.stats.net_injected);
-        let done = Arc::new(RemoteDone::new(self.me));
-        let out = cx.notify(&Notifier {
-            ctx: self,
-            op: Disp::Async(&done),
-            top,
-            waiter: Cell::new(None),
-        });
-        let action: NetAction = Box::new(move |w| {
-            let v = movement(w);
-            done.complete(w, v);
-        });
+        let (out, done) = self.file(cx, top);
+        let action: NetAction = Box::new(move |w| done.complete(w, movement(w)));
         match wire {
             Wire::Plain => self.trace_net_inject(top, self.world.net_inject(action)),
             Wire::Coalesced => self.inject_routed(target, top, action),
@@ -286,10 +293,6 @@ pub struct Notifier<'a, V: CxValue> {
     /// ([`TraceOp::NONE`] when tracing is off — recording helpers ignore
     /// it, so untraced operations carry no cost beyond the copy).
     top: TraceOp,
-    /// The event-waiter slot of this op's latest deferred request (async
-    /// ops only): the first is filed in the op's completion record, later
-    /// ones chain behind it.
-    waiter: Cell<Option<usize>>,
 }
 
 impl<'a, V: CxValue> Notifier<'a, V> {
@@ -298,7 +301,6 @@ impl<'a, V: CxValue> Notifier<'a, V> {
             ctx,
             op: Disp::Sync(v),
             top,
-            waiter: Cell::new(None),
         }
     }
 
@@ -336,7 +338,7 @@ impl<'a, V: CxValue> Notifier<'a, V> {
 
     /// The closure defer path: run `f` on the op's value from a later
     /// progress quantum — an event waiter for an in-flight op (the
-    /// completion token its delivery deposits wakes this exact
+    /// completion token its [`Completion`] deposits wakes this exact
     /// notification; the progress engine never re-tests the op), a
     /// `Deferred::Now` entry for a synchronous one. Only `as_lpc` takes
     /// the latter: a synchronous op's deferred future or promise stores
@@ -354,16 +356,7 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                 self.ctx
                     .push_deferred(Deferred::Now(Box::new(move || deliver(v))));
             }
-            Disp::Async(done) => {
-                let d = Arc::clone(done);
-                let run = Box::new(move || deliver(d.value()));
-                let after = self.waiter.get();
-                let (slot, trace) = self.ctx.await_token(after, run);
-                if after.is_none() {
-                    done.file_token(slot, trace);
-                }
-                self.waiter.set(Some(slot));
-            }
+            Disp::Async(filing) => filing.file_waiter(self.ctx, deliver),
         }
     }
 
@@ -441,17 +434,17 @@ impl<'a, V: CxValue> Notifier<'a, V> {
     /// version or disposition: a synchronously-completed operation enqueues
     /// onto the rank's callback FIFO (drained by the next progress quantum
     /// or by the background progress thread), and an asynchronous one
-    /// files it in the op's completion record, whose delivery action
-    /// enqueues it. A callback enqueued from inside a running callback
-    /// joins the live drain's FIFO — same quantum, never reentrant.
+    /// files it with the op's other notifications, and the op's
+    /// completion enqueues it. A callback enqueued from inside a running
+    /// callback joins the live drain's FIFO — same quantum, never
+    /// reentrant.
     pub fn op_callback(&self, f: Box<dyn FnOnce(V) + Send>) {
-        let top = self.top;
         match &self.op {
             Disp::Sync(v) => {
                 let v = v.clone();
-                self.ctx.enqueue_callback(Box::new(move || f(v)), top);
+                self.ctx.enqueue_callback(Box::new(move || f(v)), self.top);
             }
-            Disp::Async(done) => done.file_callback(self.ctx, top, f),
+            Disp::Async(filing) => filing.callbacks.borrow_mut().push(f),
         }
     }
 
@@ -836,8 +829,8 @@ mod tests {
 
     #[test]
     fn callback_composes_with_future_on_one_async_op() {
-        // `as_future | as_callback` files a waiter and a callback in one
-        // completion record; both complete, and the callback sees the
+        // `as_future | as_callback` files a waiter and a callback for one
+        // in-flight op; both complete, and the callback sees the
         // fetched value.
         launch(RuntimeConfig::smp(2).with_segment_size(1 << 16), |u| {
             let mine = u.new_::<u64>(u.rank_me() as u64 + 100);

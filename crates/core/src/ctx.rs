@@ -3,14 +3,12 @@
 //! Every SPMD rank thread owns a [`RankCtx`]: its gasnex identity, the
 //! configured library version, the deferred-notification queue (the paper's
 //! "internal queue to be readied later by the progress engine"), the
-//! event-waiter and RPC-reply continuation slabs, the shared ready unit
-//! cell, and statistics.
+//! event-waiter slab, the shared ready unit cell, and statistics.
 //!
 //! The context is installed in thread-local storage for the duration of the
 //! SPMD region so that futures (`wait`), free functions, and callbacks can
 //! reach the progress engine without threading a handle everywhere.
 
-use std::any::Any;
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -26,9 +24,6 @@ use crate::slab::Slab;
 use crate::stats::{add, bump, raise, Stats};
 use crate::trace::{CompletionPath, OpKind, RankTracer, TraceOp};
 use crate::version::LibVersion;
-
-/// A rank-local continuation fed by a type-erased RPC reply payload.
-pub(crate) type ReplyContinuation = Box<dyn FnOnce(Box<dyn Any + Send>)>;
 
 /// The notification of one in-flight operation, filed in
 /// [`RankCtx::event_waiters`] until its completion token surfaces.
@@ -79,9 +74,6 @@ pub(crate) struct RankCtx {
     /// Reusable drain buffer for ready-queue tokens (one allocation per
     /// rank, not per quantum).
     ready_buf: RefCell<Vec<u64>>,
-    /// RPC continuations filed under their reply id; executed when the
-    /// reply AM arrives on this thread.
-    pub replies: RefCell<Slab<ReplyContinuation>>,
     /// The pre-allocated ready cell shared by every ready `Future<()>`
     /// (when the version has the elision).
     pub ready_unit: Rc<Cell<()>>,
@@ -162,7 +154,6 @@ impl RankCtx {
             event_waiters: RefCell::new(Slab::new()),
             next_token: StdCell::new(0),
             ready_buf: RefCell::new(Vec::new()),
-            replies: RefCell::new(Slab::new()),
             ready_unit: shared_ready_unit_cell(),
             wall_clock,
             watchdog_ms,
@@ -291,11 +282,6 @@ impl RankCtx {
         self.world.directly_addressable(self.me, target)
     }
 
-    /// Register an RPC reply continuation and return its reply id.
-    pub fn register_reply(&self, k: ReplyContinuation) -> u64 {
-        self.replies.borrow_mut().insert(k) as u64
-    }
-
     /// Enqueue a rank-local deferred notification.
     pub fn push_deferred(&self, d: Deferred) {
         bump(&self.stats.deferred_enqueued);
@@ -307,8 +293,8 @@ impl RankCtx {
     /// operation's completion token surfaces from the ready queue, and
     /// return its waiter slot and the token's trace id (minted from the
     /// rank's monotonic `next_token`). The caller files both in the op's
-    /// completion record before injecting the op, so the token always
-    /// surfaces at a later quantum, never inline.
+    /// [`Completion`](crate::completion::Completion) before the op leaves,
+    /// so the token always surfaces at a later quantum, never inline.
     ///
     /// `after` is the slot an earlier request on the same operation
     /// returned: the op carries one token, so `f` chains behind that
@@ -517,7 +503,6 @@ impl RankCtx {
             && self.event_waiters.borrow().is_empty()
             && self.callbacks.is_empty()
             && self.world.ready_queued(self.me) == 0
-            && self.replies.borrow().is_empty()
             && self.world.ams_queued(self.me) == 0
             && self.agg.as_ref().is_none_or(|a| a.borrow().buffered() == 0)
     }
@@ -606,7 +591,7 @@ pub(crate) fn note_when_all_node() {
 }
 
 /// Record a completion notification for `op` on the active rank, from
-/// contexts (deferred closures, RPC replies, `when_all` fulfillment) that
+/// contexts (deferred closures and waiters, `when_all` fulfillment) that
 /// don't hold a `RankCtx` reference. No-op outside a runtime, when tracing
 /// is off, or for the `NONE` sentinel.
 #[inline]
@@ -636,16 +621,6 @@ pub(crate) fn ready_unit_future_cell() -> Rc<Cell<()>> {
         }
     })
     .unwrap_or_else(shared_ready_unit_cell)
-}
-
-/// Deliver an RPC reply payload to its registered continuation. Called from
-/// the reply AM, which gasnex executes on the initiating thread during its
-/// progress — so the continuation (which touches rank-local futures) runs on
-/// the right thread.
-pub(crate) fn deliver_reply(id: u64, payload: Box<dyn Any + Send>) {
-    let k = with_ctx(|ctx| ctx.replies.borrow_mut().remove(id as usize))
-        .unwrap_or_else(|| panic!("RPC reply {id} has no registered continuation"));
-    k(payload);
 }
 
 #[cfg(test)]

@@ -20,10 +20,7 @@ use std::rc::Rc;
 use gasnex::Rank;
 
 use crate::completion::CxValue;
-use crate::ctx::{clone_current, with_ctx};
-use crate::future::cell::new_cell;
 use crate::future::Future;
-use crate::rpc::{send_am_routed, send_reply};
 use crate::runtime::Upcr;
 
 thread_local! {
@@ -119,37 +116,4 @@ impl<T: CxValue> Drop for DistObject<T> {
         // fetches; we degrade gracefully instead). Entries are cleared at
         // rank teardown.
     }
-}
-
-/// Free-function form usable without the handle (fetches on the calling
-/// rank's context).
-pub fn dist_fetch<T: CxValue>(id: u64, rank: Rank) -> Future<T> {
-    let ctx = clone_current();
-    let cell = new_cell::<T>(1);
-    let c2 = Rc::clone(&cell);
-    let reply_id = ctx.register_reply(Box::new(move |payload| {
-        let v = *payload
-            .downcast::<T>()
-            .expect("dist_fetch reply type mismatch");
-        c2.set_value(v);
-        c2.fulfill(1);
-    }));
-    let me = ctx.me;
-    let direct = ctx.addressable(rank);
-    let handler = move |amctx: &gasnex::AmCtx<'_>| {
-        let v: T = REGISTRY.with(|r| {
-            r.borrow()
-                .get(&id)
-                .unwrap_or_else(|| panic!("dist_object {id} not constructed"))
-                .downcast_ref::<T>()
-                .expect("dist_object type mismatch")
-                .clone()
-        });
-        send_reply(amctx, move |_| {
-            crate::ctx::deliver_reply(reply_id, Box::new(v))
-        });
-    };
-    send_am_routed(&ctx.world, me, rank, direct, handler);
-    with_ctx(|c| crate::stats::bump(&c.stats.rpcs));
-    Future::from_cell(cell)
 }

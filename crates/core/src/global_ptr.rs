@@ -17,7 +17,7 @@ use gasnex::{Rank, Segment};
 ///
 /// Implementations must roundtrip exactly through `to_bits`/`from_bits` for
 /// every value, and `SIZE` must equal `std::mem::size_of::<Self>()`.
-pub unsafe trait SegValue: Copy + Send + 'static {
+pub unsafe trait SegValue: Copy + Send + Sync + 'static {
     /// Size of the value in bytes (power of two, ≤ 8).
     const SIZE: usize;
     /// Encode as a zero-extended little-endian bit pattern.

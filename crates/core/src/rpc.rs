@@ -1,31 +1,30 @@
 //! Remote procedure calls.
 //!
 //! `rpc` ships a closure to the target rank, where it executes during that
-//! rank's progress engine; the returned future is readied on the initiator
-//! when the reply arrives. `rpc_ff` is the fire-and-forget form. Because
+//! rank's progress engine; the result comes back in a reply AM, routed
+//! over the wire iff the request crossed it, which completes the op on the
+//! initiator's thread. The returned future is filed like any in-flight
+//! op's deferred notification (`RankCtx::file`), so the reply wakes it
+//! with a ready-queue token. `rpc_ff` is the fire-and-forget form. Because
 //! all ranks share one address space, the "serialization" of the callable
-//! is a boxed `FnOnce` (see DESIGN.md); replies carry the result as a
-//! type-erased `Any` payload matched back to its continuation by id.
+//! is a boxed `FnOnce` (see DESIGN.md).
 //!
 //! RPCs never complete synchronously — even a self-targeted RPC is queued
 //! and runs in a later progress call, exactly as in UPC++.
 
-use std::rc::Rc;
-
 use gasnex::{AmCtx, Rank, World};
 
-use crate::completion::CxValue;
-use crate::ctx::deliver_reply;
-use crate::future::cell::new_cell;
+use crate::completion::{operation_cx, CxValue};
 use crate::future::Future;
 use crate::runtime::Upcr;
+use crate::ser::SerDe;
 use crate::stats::bump;
-use crate::trace::{CompletionPath, OpKind};
+use crate::trace::{OpKind, TraceOp};
 
 /// Route an AM to `target`: directly when addressable, through the
 /// simulated network otherwise. Returns the network message id when the
 /// request crossed the simulated wire.
-pub(crate) fn send_am_routed(
+fn send_am_routed(
     world: &World,
     me: Rank,
     target: Rank,
@@ -42,7 +41,7 @@ pub(crate) fn send_am_routed(
 
 /// Send `reply` back to the sender of the AM `amctx` is running; the reply
 /// crosses the network iff the request did.
-pub(crate) fn send_reply(amctx: &AmCtx<'_>, reply: impl FnOnce(&AmCtx<'_>) + Send + 'static) {
+fn send_reply(amctx: &AmCtx<'_>, reply: impl FnOnce(&AmCtx<'_>) + Send + 'static) {
     let (src, me) = (amctx.src, amctx.me);
     let direct = amctx.world.topology().same_node(me, src);
     send_am_routed(amctx.world, me, src, direct, reply);
@@ -58,33 +57,15 @@ impl Upcr {
         F: FnOnce() -> R + Send + 'static,
         R: CxValue,
     {
-        let ctx = &*self.ctx;
-        bump(&ctx.stats.rpcs);
-        // RPC notifications always take the deferred path: even self-
-        // targeted RPCs are queued, so the reply can never be eager.
-        let top = ctx.trace_op_init(OpKind::Rpc, true);
-        let cell = new_cell::<R>(1);
-        let c2 = Rc::clone(&cell);
-        let id = ctx.register_reply(Box::new(move |payload| {
-            let v = *payload
-                .downcast::<R>()
-                .expect("rpc reply payload type mismatch");
-            c2.set_value(v);
-            c2.fulfill(1);
-            crate::ctx::trace_notify(top, CompletionPath::Deferred);
-        }));
-        let direct = ctx.addressable(target);
-        if !direct {
-            bump(&ctx.stats.net_injected);
-        }
-        let msg = send_am_routed(&ctx.world, ctx.me, target, direct, move |amctx| {
+        let top = self.ctx.trace_op_init(OpKind::Rpc, true);
+        // An RPC is always in flight at initiation, even a self-targeted
+        // one, so its future always takes the deferred path.
+        let (fut, done) = self.ctx.file(operation_cx::as_future(), top);
+        self.send_rpc(target, top, move |amctx| {
             let r = f();
-            send_reply(amctx, move |_| deliver_reply(id, Box::new(r)));
+            send_reply(amctx, move |amctx| done.complete(amctx.world, r));
         });
-        if let Some(msg) = msg {
-            ctx.trace_net_inject(top, msg);
-        }
-        Future::from_cell(cell)
+        fut
     }
 
     /// RPC in the fully faithful UPC++ transport style: a plain function
@@ -98,39 +79,23 @@ impl Upcr {
     /// all ranks share one address space.
     pub fn rpc_args<A, R>(&self, target: Rank, f: fn(A) -> R, args: A) -> Future<R>
     where
-        A: crate::ser::SerDe + Send + 'static,
-        R: crate::completion::CxValue + crate::ser::SerDe,
+        A: SerDe + Send + 'static,
+        R: CxValue + SerDe,
     {
-        let ctx = &*self.ctx;
-        bump(&ctx.stats.rpcs);
-        let top = ctx.trace_op_init(OpKind::Rpc, true);
+        let top = self.ctx.trace_op_init(OpKind::Rpc, true);
         let arg_bytes = args.to_bytes();
-        let cell = new_cell::<R>(1);
-        let c2 = Rc::clone(&cell);
-        let id = ctx.register_reply(Box::new(move |payload| {
-            let bytes = payload
-                .downcast::<Vec<u8>>()
-                .expect("rpc_args reply payload must be bytes");
-            let r = R::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("rpc_args reply deserialization failed: {e}"));
-            c2.set_value(r);
-            c2.fulfill(1);
-            crate::ctx::trace_notify(top, CompletionPath::Deferred);
-        }));
-        let direct = ctx.addressable(target);
-        if !direct {
-            bump(&ctx.stats.net_injected);
-        }
-        let msg = send_am_routed(&ctx.world, ctx.me, target, direct, move |amctx| {
+        let (fut, done) = self.ctx.file(operation_cx::as_future(), top);
+        self.send_rpc(target, top, move |amctx| {
             let a = A::from_bytes(&arg_bytes)
                 .unwrap_or_else(|e| panic!("rpc_args argument deserialization failed: {e}"));
             let result_bytes = f(a).to_bytes();
-            send_reply(amctx, move |_| deliver_reply(id, Box::new(result_bytes)));
+            send_reply(amctx, move |amctx| {
+                let r = R::from_bytes(&result_bytes)
+                    .unwrap_or_else(|e| panic!("rpc_args reply deserialization failed: {e}"));
+                done.complete(amctx.world, r);
+            });
         });
-        if let Some(msg) = msg {
-            ctx.trace_net_inject(top, msg);
-        }
-        Future::from_cell(cell)
+        fut
     }
 
     /// Fire-and-forget RPC: execute `f` on `target` with no completion
@@ -139,15 +104,27 @@ impl Upcr {
     where
         F: FnOnce() + Send + 'static,
     {
+        // No completion ever comes back, so the span is closed at init.
+        let top = self.ctx.trace_op_init(OpKind::Rpc, false);
+        self.send_rpc(target, top, move |_| f());
+    }
+
+    /// Send an RPC request that runs `handler` on `target`: directly when
+    /// the target is addressable, over the wire (counted and traced as
+    /// span `top`'s inject) otherwise.
+    fn send_rpc(
+        &self,
+        target: Rank,
+        top: TraceOp,
+        handler: impl FnOnce(&AmCtx<'_>) + Send + 'static,
+    ) {
         let ctx = &*self.ctx;
         bump(&ctx.stats.rpcs);
-        // No completion ever comes back, so the span is closed at init.
-        let top = ctx.trace_op_init(OpKind::Rpc, false);
         let direct = ctx.addressable(target);
         if !direct {
             bump(&ctx.stats.net_injected);
         }
-        if let Some(msg) = send_am_routed(&ctx.world, ctx.me, target, direct, move |_| f()) {
+        if let Some(msg) = send_am_routed(&ctx.world, ctx.me, target, direct, handler) {
             ctx.trace_net_inject(top, msg);
         }
     }

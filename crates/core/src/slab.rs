@@ -1,10 +1,10 @@
 //! A slab: values filed under small, reused indices.
 //!
-//! The rank-local continuation tables (event waiters, RPC reply
-//! continuations) file a value when an operation starts and take it back
-//! by index when its completion arrives. A slab does both in O(1) with no
-//! hashing, and reuses freed indices, so a table's storage stays at its
-//! high-water mark instead of growing with every operation.
+//! The rank-local event-waiter table files a waiter when an operation
+//! starts and takes it back by index when its completion token arrives.
+//! A slab does both in O(1) with no hashing, and reuses freed indices, so
+//! the table's storage stays at its high-water mark instead of growing
+//! with every operation.
 
 /// One slab entry: a filed value, or a link in the free list.
 enum Entry<T> {

@@ -6,13 +6,13 @@
 //! blocking `rput(..).wait()` and `rget(..).wait()` calls into rank 1's
 //! memory while rank 1 sits in a barrier, and the steady-state
 //! allocations and bytes are rounded per op. Each op allocates its
-//! future's cell, its completion record (`RemoteDone`), its boxed delivery
-//! action and its event-waiter closure. The token that wakes the waiter
-//! travels by index, and the simulated conduit collects the deliveries a
-//! poll pops into a reused per-thread buffer, so neither allocates. The
-//! byte pin catches a record or closure that grows without allocating
-//! more often. This binary holds one test so that no other test's
-//! allocations land in the count.
+//! future's cell, the write-once value slot its waiter shares with the
+//! delivering thread, its boxed delivery action and its event-waiter
+//! closure. The token that wakes the waiter travels by index, and the
+//! simulated conduit collects the deliveries a poll pops into a reused
+//! per-thread buffer, so neither allocates. The byte pin catches a slot
+//! or closure that grows without allocating more often. This binary
+//! holds one test so that no other test's allocations land in the count.
 
 mod alloc_count;
 
@@ -34,7 +34,7 @@ fn blocking_offnode_put_and_get_allocate_four_times_per_op() {
             );
             assert_eq!(
                 (put_bytes, get_bytes),
-                (216, 200),
+                (208, 192),
                 "heap bytes per blocking off-node (rput, rget)"
             );
         }

@@ -546,6 +546,110 @@ fn rpc_across_nodes_with_latency() {
 }
 
 #[test]
+fn rpcs_across_nodes_wake_through_one_token_each() {
+    // An RPC's future is filed like any in-flight op's deferred
+    // notification: its reply deposits one ready-queue token.
+    launch(RuntimeConfig::udp(2, 1).with_segment_size(1 << 16), |u| {
+        let d = upcr::DistObject::new(u, 40 + u.rank_me() as u64);
+        u.barrier();
+        if u.rank_me() == 0 {
+            let calls: [(&str, &dyn Fn() -> u64); 3] = [
+                ("rpc", &|| u.rpc(Rank(1), || 41u64).wait()),
+                ("rpc_args", &|| {
+                    u.rpc_args(Rank(1), |x: u64| x + 1, 40u64).wait()
+                }),
+                ("fetch", &|| d.fetch(u, Rank(1)).wait()),
+            ];
+            for (name, call) in calls {
+                u.reset_stats();
+                assert_eq!(call(), 41, "{name}");
+                let s = u.stats();
+                assert_eq!(
+                    (s.deferred_enqueued, s.event_wakeups, s.pending_highwater),
+                    (1, 1, 1),
+                    "{name}: (deferred_enqueued, event_wakeups, pending_highwater)"
+                );
+            }
+        }
+        u.barrier();
+    });
+}
+
+#[test]
+fn rpcs_complete_once_through_wire_faults() {
+    // Requests and replies both cross a wire that drops, duplicates and
+    // reorders: every call's body runs once, its future gets its value
+    // once, and the wire drains.
+    static BODIES: AtomicU64 = AtomicU64::new(0);
+    const CALLS: u64 = 48;
+    let plan = upcr::FaultPlan::seeded(2501)
+        .with_drops(200_000)
+        .with_dups(150_000)
+        .with_reorder(250_000, 6_000)
+        .with_retry(4_000, 64_000, 6);
+    let net = upcr::NetConfig {
+        latency_ns: 800,
+        jitter_ns: 300,
+        ..upcr::NetConfig::default()
+    }
+    .with_virtual_clock()
+    .with_faults(plan);
+    let cfg = RuntimeConfig::udp(2, 1)
+        .with_segment_size(1 << 16)
+        .with_net(net);
+    launch(cfg, |u| {
+        let d = upcr::DistObject::new(u, 1000 + u.rank_me() as u64);
+        u.barrier();
+        if u.rank_me() == 0 {
+            let before = u.stats();
+            let done = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let futs: Vec<_> = (0..CALLS)
+                .map(|i| {
+                    let f = match i % 3 {
+                        0 => u.rpc(Rank(1), move || {
+                            BODIES.fetch_add(1, Ordering::SeqCst);
+                            i * 7
+                        }),
+                        1 => u.rpc_args(
+                            Rank(1),
+                            |x: u64| {
+                                BODIES.fetch_add(1, Ordering::SeqCst);
+                                x * 7
+                            },
+                            i,
+                        ),
+                        _ => d.fetch(u, Rank(1)).then(move |v| v - 1001 + i * 7),
+                    };
+                    let done = std::rc::Rc::clone(&done);
+                    f.then(move |v| done.borrow_mut().push((i, v)))
+                })
+                .collect();
+            for f in futs {
+                f.wait();
+            }
+            let mut got = done.borrow().clone();
+            got.sort_unstable();
+            let want: Vec<_> = (0..CALLS).map(|i| (i, i * 7)).collect();
+            assert_eq!(got, want, "each call completes once with its value");
+            assert_eq!(BODIES.load(Ordering::SeqCst), CALLS - CALLS / 3);
+            let s = u.stats().since(&before);
+            assert_eq!((s.rpcs, s.event_wakeups), (CALLS, CALLS));
+        }
+        u.barrier();
+        while u.net_stats().pending > 0 {
+            u.progress();
+        }
+        u.barrier();
+        if u.rank_me() == 0 {
+            let n = u.net_stats();
+            assert!(n.drops_injected > 0, "the plan must actually drop");
+            assert!(n.dup_suppressed > 0, "the plan must actually duplicate");
+            assert_eq!(n.injected, n.delivered, "every message delivered once");
+        }
+    });
+}
+
+#[test]
 fn then_chain_over_communication() {
     launch(smp(2), |u| {
         let mine = u.new_::<u64>(10 * (1 + u.rank_me() as u64));

@@ -5,7 +5,8 @@
 
 use gasnex::World;
 use upcr::trace::{
-    chrome_trace_json, count_notifications, parse_json, EventKind, OpKind, TraceBundle,
+    chrome_trace_json, count_notifications, parse_json, EventKind, NetEventKind, OpKind,
+    TraceBundle,
 };
 use upcr::{
     conjoin, launch, CompletionPath, FaultPlan, GasnexConfig, LibVersion, NetConfig, RuntimeConfig,
@@ -214,4 +215,59 @@ fn tracing_disabled_records_nothing() {
     let t = out.pop().unwrap();
     assert!(t.events.is_empty(), "disabled tracing must record nothing");
     assert_eq!(t.dropped, 0);
+}
+
+#[test]
+fn traced_offnode_rpc_notifies_through_its_token() {
+    // A cross-node RPC's reply completes it like any in-flight op: the
+    // reply deposits a token (a wire-trace `Signal`), the token wakes the
+    // waiter (`Wakeup`), and the waiter records the deferred `Notify`.
+    let cfg = RuntimeConfig::udp(2, 1).with_segment_size(1 << 16);
+    let results = launch(cfg, |u| {
+        u.trace_enabled(true);
+        u.barrier();
+        if u.rank_me() == 0 {
+            assert_eq!(u.rpc(upcr::Rank(1), || 5u64).wait(), 5);
+        }
+        u.barrier();
+        u.take_causal()
+    });
+    let (bundle, asm) = results[0].clone().expect("rank 0 assembles");
+    assert_eq!(asm.violations, 0, "causality violations");
+    let rank0 = bundle.ranks.iter().find(|t| t.rank == 0).expect("rank 0");
+    let notify = rank0
+        .events
+        .iter()
+        .find(|e| e.op.kind == OpKind::Rpc && matches!(e.kind, EventKind::Notify { .. }))
+        .expect("the RPC recorded its notification");
+    assert!(matches!(
+        notify.kind,
+        EventKind::Notify {
+            path: CompletionPath::Deferred,
+            ..
+        }
+    ));
+    let wakeups: Vec<_> = rank0
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Wakeup { token } => Some((token, e.seq)),
+            _ => None,
+        })
+        .collect();
+    let signals: Vec<_> = bundle
+        .net
+        .iter()
+        .filter_map(|e| match e.kind {
+            NetEventKind::Signal { rank: 0, token } => Some(token),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(wakeups.len(), 1, "one token woke the RPC's waiter");
+    assert_eq!(
+        signals,
+        vec![wakeups[0].0],
+        "the token's deposit was traced"
+    );
+    assert!(wakeups[0].1 < notify.seq, "the wakeup precedes the notify");
 }
